@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .exact import TruncationBudgetExceeded, exact_state_distribution, exact_tail_probability
+from .exact import TruncationBudgetExceeded, exact_state_distribution
 from .model import (
     EventKind,
     ModelParams,
@@ -87,7 +87,7 @@ _COMMON = [
     Opt("mu", float, 1.0, "catastrophe weight"),
     Opt("alpha", float, 1.0, "event-clock rate"),
     Opt("seed", int, 0, "base seed, 64-bit unsigned"),
-    Opt("workers", int, 1, "worker processes for replica fan-out"),
+    Opt("workers", int, 1, "worker processes for replica fan-out, >= 1"),
     Opt("out", str, None, "output file (default: stdout)"),
     Opt("format", str, None, "output format", choices=("csv", "json")),
 ]
@@ -116,7 +116,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("M", int, 64, "state truncation cap"),
             Opt("K", int, 60, "event-count truncation cap"),
-            Opt("x", float, None, "if set, also report P(state >= x*T)"),
+            Opt("x", float, None, "if set, also report P(state/T >= x)"),
         ],
     },
     "rate": {
@@ -238,6 +238,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         if opt.default is _REQUIRED and cfg[opt.dest] is None:
             raise ConfigError(f"missing required key {opt.key!r}", key=opt.key)
 
+    if cfg["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}", key="workers")
     if cfg["format"] is None:
         cfg["format"] = _COMMANDS[command]["default_format"]
     return cfg
@@ -360,9 +362,7 @@ def _cmd_exact(cfg: dict, params: ModelParams):
         "truncation_error": pmf.truncation_error,
     }
     if cfg["x"] is not None:
-        value, uncertainty = exact_tail_probability(
-            params, cfg["T"], cfg["x"], cfg["M"], cfg["K"]
-        )
+        value, uncertainty = pmf.tail(cfg["x"], cfg["T"])
         doc["x"] = cfg["x"]
         doc["tail_probability"] = value
         doc["tail_uncertainty"] = uncertainty

@@ -1,12 +1,15 @@
 """Simulation-free ground truth at desk scale.
 
-The law of the population at time T is computed exactly by mixing powers of
-the truncated jump-chain matrix over the Poisson number of clock events.
-States above the truncation level are absorbed and their mass is reported as
-``truncation_error`` rather than silently dropped, so every returned figure
-carries an explicit accuracy budget.  The module also provides the exact
-lower tails (uniform-sum convolution, Poisson CDF) that the closed-form
-bounds are checked against.
+The law of the population at time T is computed exactly by uniformisation:
+the k-step distributions of the jump chain, truncated to states {0, ..., M},
+are mixed over the Poisson number k = 0..K of clock events.  The kernel is
+"up with probability p, else uniform below", so one chain step is a reverse
+cumulative sum, O(M), and the whole law costs O(K*M).  Everything cut off is
+accounted by cause rather than silently dropped: the mass that escapes above
+M and the Poisson mass beyond K together make the ``truncation_error`` every
+returned figure carries.  The module also provides the exact lower tails
+(uniform-sum convolution, Poisson CDF) that the closed-form bounds are
+checked against.
 """
 
 from __future__ import annotations
@@ -21,6 +24,32 @@ from .model import ModelParams
 
 class TruncationBudgetExceeded(RuntimeError):
     """The requested truncation cannot certify the caller's error budget."""
+
+
+def tail_level(x: float, T: float) -> int:
+    """Smallest integer k with ``k / T >= x``: the tail event of the oracle and the estimators.
+
+    Found with that float comparison itself, not as ``ceil(x*T)``, which is
+    one too high when ``x*T`` rounds up past an integer (0.28 * 25 gives
+    7.000000000000001, yet 7 / 25 >= 0.28).  ``k / T`` is monotone in k, so a
+    bisection finds the level.
+    """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
+    if not math.isfinite(x * T):
+        raise ValueError(f"deviation level x*T must be finite, got x={x}, T={T}")
+    if x <= 0:
+        return 0
+    lo, hi = 0, math.ceil(x * T) + 1  # lo / T < x always holds, since x > 0
+    while hi / T < x:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid / T >= x:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(eq=False)
@@ -42,14 +71,23 @@ class Pmf:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"masses + truncation_error = {total}, expected 1")
 
+    def tail(self, x: float, T: float) -> tuple[float, float]:
+        """P(state(T) / T >= x) with its truncation uncertainty.
+
+        Returns ``(value, uncertainty)``: the true probability lies within
+        ``value + [0, uncertainty]`` because truncated mass can only add to a
+        tail.
+        """
+        return float(self.masses[tail_level(x, T):].sum()), self.truncation_error
+
 
 def chain_matrix(params: ModelParams, M: int) -> np.ndarray:
     """Jump-chain transition matrix truncated to states {0, ..., M}.
 
     Row 0 puts all mass on state 1.  Rows 1..M-1 follow the kernel exactly.
     Row M keeps only the catastrophe mass; the missing birth mass
-    lambda/(lambda+mu) escapes the truncation and must be accounted as
-    truncation error by the caller.
+    lambda/(lambda+mu) escapes the truncation.  The oracle steps the chain
+    without this matrix; it serves as a dense cross-check at small M.
     """
     if M < 1:
         raise ValueError(f"state cap M must be >= 1, got {M}")
@@ -63,6 +101,40 @@ def chain_matrix(params: ModelParams, M: int) -> np.ndarray:
     return P
 
 
+def _poisson_weights(rate: float, K: int) -> tuple[np.ndarray, float]:
+    """Poisson(rate) probabilities of k = 0..K, and the probability of k > K.
+
+    Terms are taken in log space, ``k ln(rate) - rate - lgamma(k+1)``, then
+    exponentiated, so a large rate underflows no term near its mode.  When K
+    reaches the mode, the terms are summed up to a point past both K and the
+    mode, where a geometric bound covers the rest, and divided by that total
+    (Fox & Glynn, CACM 31(4), 1988): the weights then sum to one to rounding,
+    and the mass beyond K is the direct sum of the terms past K, not a
+    difference of nearly equal numbers.  When K lies below the mode, every
+    kept term is below it, the kept terms sum to at most about 1/2, and the
+    mass beyond K is their complement with no loss of precision.
+    """
+    if rate == 0.0:
+        weights = np.zeros(K + 1)
+        weights[0] = 1.0
+        return weights, 0.0
+    if K < math.floor(rate):
+        terms = np.exp(_log_poisson_terms(rate, K))
+        return terms, 1.0 - float(terms.sum())
+    end = math.ceil(max(K + 1, rate) + 10.0 * math.sqrt(rate)) + 10
+    terms = np.exp(_log_poisson_terms(rate, end))
+    q = rate / (end + 1)  # terms past `end` shrink at least geometrically by q < 1
+    rest = float(terms[end]) * q / (1.0 - q)
+    total = float(terms.sum()) + rest
+    terms /= total
+    return terms[: K + 1], float(terms[K + 1 :].sum()) + rest / total
+
+
+def _log_poisson_terms(rate: float, K: int) -> np.ndarray:
+    k = np.arange(K + 1, dtype=float)
+    return k * math.log(rate) - rate - np.array([math.lgamma(j + 1.0) for j in range(K + 1)])
+
+
 def exact_state_distribution(
     params: ModelParams,
     T: float,
@@ -73,29 +145,54 @@ def exact_state_distribution(
     """Exact law of the population at time T, truncated to M states, K events.
 
     Mixes the k-step chain distributions over the Poisson(alpha*T) number of
-    clock events for k = 0..K.  Refuses (raises) if the mass lost to
-    truncation exceeds ``error_budget``.
+    clock events for k = 0..K, skipping only Poisson weights that underflow
+    to zero.  The mixture ``sum_k w_k e_0 P^k`` is evaluated by Horner's rule,
+    ``r <- r P + w_k e_0`` for k from the last nonzero weight down to 0.  A
+    chain step ``r P`` is O(M): births shift the mass up by one, and the
+    catastrophe mass landing on state j is the suffix sum over i > j of
+    ``r[i] * (1-p) / i``.  Births out of state M leave the truncation for
+    good; that escaped mass, summed over the steps, and the Poisson mass
+    beyond K make the truncation error.  Refuses (raises) if it exceeds
+    ``error_budget``, naming which of M and K to raise.
     """
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, got {T}")
     if K < 0:
         raise ValueError(f"event cap K must be >= 0, got {K}")
-    P = chain_matrix(params, M)
-    dist = np.zeros(M + 1)
-    dist[0] = 1.0
-    weight = math.exp(-params.alpha * T)  # Poisson weight at k = 0
-    acc = weight * dist
-    for k in range(1, K + 1):
-        dist = dist @ P
-        weight *= params.alpha * T / k
-        acc += weight * dist
-    truncation = max(0.0, 1.0 - float(acc.sum()))
+    if M < 1:
+        raise ValueError(f"state cap M must be >= 1, got {M}")
+    weights, beyond_K = _poisson_weights(params.alpha * T, K)
+    nonzero = np.flatnonzero(weights)
+    last = int(nonzero[-1]) if nonzero.size else 0
+    w = weights.tolist()
+    p = params.birth_prob
+    down_rate = (1.0 - p) / np.arange(1, M + 1)  # share of state i's mass landing on each j < i
+    masses = np.zeros(M + 1)
+    masses[0] = w[last]
+    above_M = 0.0  # mass that escaped above M, mixed over the Poisson weights
+    for k in range(last - 1, -1, -1):
+        top = min(last - 1 - k, M)  # masses is supported on {0, ..., top}
+        down = masses[1 : top + 1] * down_rate[:top]
+        if top == M:
+            above_M += p * masses[M]
+        stay = min(top, M - 1)
+        from_zero = masses[0]
+        masses[2 : stay + 2] = p * masses[1 : stay + 1]
+        masses[1] = from_zero
+        masses[0] = w[k]
+        masses[:top] += np.add.accumulate(down[::-1])[::-1]
+    truncation = above_M + beyond_K
     if truncation > error_budget:
+        causes = []
+        if beyond_K > error_budget / 2:
+            causes.append(f"Poisson mass beyond K is {beyond_K:.3e}, raise K={K}")
+        if above_M > error_budget / 2:
+            causes.append(f"mass escaping above M is {above_M:.3e}, raise M={M}")
         raise TruncationBudgetExceeded(
-            f"truncation error {truncation:.3e} exceeds budget {error_budget:.3e}; "
-            f"increase M={M} or K={K}"
+            f"truncation error {truncation:.3e} exceeds budget {error_budget:.3e}: "
+            + "; ".join(causes)
         )
-    return Pmf(acc, truncation)
+    return Pmf(masses, truncation)
 
 
 def exact_tail_probability(
@@ -106,21 +203,8 @@ def exact_tail_probability(
     K: int,
     error_budget: float = 1e-9,
 ) -> tuple[float, float]:
-    """Exact P(state(T) >= x*T) with its truncation uncertainty.
-
-    Returns ``(value, uncertainty)``: the true probability lies within
-    ``value + [0, uncertainty]`` because truncated mass can only add to a
-    tail.
-    """
-    pmf = exact_state_distribution(params, T, M, K, error_budget)
-    threshold = math.ceil(x * T)
-    if threshold <= 0:
-        value = float(pmf.masses.sum())
-    elif threshold > M:
-        value = 0.0
-    else:
-        value = float(pmf.masses[threshold:].sum())
-    return value, pmf.truncation_error
+    """Exact P(state(T) / T >= x) with its truncation uncertainty (see :meth:`Pmf.tail`)."""
+    return exact_state_distribution(params, T, M, K, error_budget).tail(x, T)
 
 
 def uniform_sum_tail_exact(m: int, n: int, a: float) -> float:

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from .exact import tail_level
 from .model import (
     EventKind,
     ModelParams,
@@ -150,6 +151,12 @@ def _run_chunk(args) -> dict:
     return out
 
 
+def _worker_count(workers: int) -> int:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers)
+
+
 def _run_replicas(params, T, tilt, construction, seed, n, workers, grid=None) -> dict:
     """Run n replicas, possibly across processes; merge in replica order."""
     check_seed(seed)
@@ -157,7 +164,7 @@ def _run_replicas(params, T, tilt, construction, seed, n, workers, grid=None) ->
         raise ValueError(f"replica count n must be >= 1, got {n}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    workers = max(1, int(workers))
+    workers = _worker_count(workers)
     if workers == 1:
         chunks = [_run_chunk((params, T, tilt, construction, seed, 0, n, grid))]
     else:
@@ -216,7 +223,7 @@ def estimate_tail_naive(
     interval is a Wilson score interval.
     """
     data = _run_replicas(params, T, None, "decomposed", seed, n, workers)
-    hits = (data["terminal"] / T >= x).astype(float)
+    hits = (data["terminal"] >= tail_level(x, T)).astype(float)
     return _fold_estimate(hits, data["weights"], T, n, seed, weighted=False)
 
 
@@ -237,7 +244,7 @@ def estimate_tail_is(
     for weighted means.
     """
     data = _run_replicas(params, T, tilt, "decomposed", seed, n, workers)
-    hits = (data["terminal"] / T >= x).astype(float)
+    hits = (data["terminal"] >= tail_level(x, T)).astype(float)
     return _fold_estimate(hits * data["weights"], data["weights"], T, n, seed, weighted=True)
 
 
@@ -283,6 +290,7 @@ def rate_curve_sweep(
     """
     if method not in ("naive", "is"):
         raise ValueError(f"method must be 'naive' or 'is', got {method!r}")
+    _worker_count(workers)
     points: list[SweepPoint] = []
     for T in T_list:
         sub_seed = derive_seed(seed, float_key(T))
@@ -317,7 +325,7 @@ def collect_weighted_paths(
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     data = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, grid=grid * T)
     values = data["rows"] / T
-    hits = data["terminal"] / T >= x
+    hits = data["terminal"] >= tail_level(x, T)
     weights = data["weights"]
     return [
         (ScaledPath(grid, values[i]), float(weights[i]), bool(hits[i]))

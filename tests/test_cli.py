@@ -89,6 +89,15 @@ def test_exact_truncation_budget_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_exact_tail_event_is_k_over_T_at_least_x(tmp_path):
+    # 0.28 * 25 rounds to 7.000000000000001; the event k/T >= 0.28 starts at 7
+    rc, text = _run(tmp_path, "exact", "--T", "25", "--x", "0.28")
+    assert rc == 0
+    doc = json.loads(text)
+    assert doc["tail_probability"] == pytest.approx(sum(doc["masses"][7:]), rel=1e-12)
+    assert doc["tail_probability"] == pytest.approx(0.0202, abs=1e-4)
+
+
 def test_rate_variational_column_agrees(tmp_path):
     rc, text = _run(tmp_path, "rate", "--grid", "12", "--x", "3")
     assert rc == 0
@@ -226,6 +235,15 @@ def test_config_bad_value_rejected(tmp_path, capsys):
     rc, _ = _run(tmp_path, "estimate", "--config", str(config))
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["key"] == "T"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    rc, _ = _run(tmp_path, "estimate", "--T", "4", "--x", "0.5", "--n", "100", "--workers", workers)
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "workers"
 
 
 def test_missing_required_key_rejected(tmp_path, capsys):

@@ -14,6 +14,7 @@ from catpop.exact import (
     exact_state_distribution,
     exact_tail_probability,
     poisson_lower_tail_exact,
+    tail_level,
     total_variation,
     uniform_sum_tail_exact,
 )
@@ -24,6 +25,8 @@ P111 = ModelParams(1.0, 1.0, 1.0)
 # frozen regression constant, computed by this oracle at M=64, K=60 where the
 # truncation error is below 1e-12
 EXACT_TAIL_111_T4_X05 = 0.364847004572957
+
+PARAM_SETS = [P111, ModelParams(2.0, 3.0, 1.5), ModelParams(0.3, 4.0, 2.0)]
 
 
 def test_chain_matrix_row_zero():
@@ -39,10 +42,7 @@ def test_chain_matrix_row_three():
     assert np.allclose(P[3], expected, atol=1e-15)
 
 
-@pytest.mark.parametrize(
-    "params",
-    [P111, ModelParams(2.0, 3.0, 1.5), ModelParams(0.3, 4.0, 2.0)],
-)
+@pytest.mark.parametrize("params", PARAM_SETS)
 def test_chain_matrix_rows_sum_to_one_with_overflow(params):
     M = 40
     P = chain_matrix(params, M)
@@ -74,10 +74,61 @@ def test_distribution_normalization_and_budget():
     pmf = exact_state_distribution(P111, 4.0, 64, 60)
     assert abs(pmf.masses.sum() + pmf.truncation_error - 1.0) <= 1e-12
     assert pmf.truncation_error < 1e-12
-    with pytest.raises(TruncationBudgetExceeded):
+    # each failure names the cap that caused it, and only that one
+    with pytest.raises(TruncationBudgetExceeded) as too_few_events:
         exact_state_distribution(P111, 4.0, 64, 3, error_budget=1e-9)
-    with pytest.raises(TruncationBudgetExceeded):
+    assert "raise K=3" in str(too_few_events.value)
+    assert "raise M=" not in str(too_few_events.value)
+    with pytest.raises(TruncationBudgetExceeded) as too_few_states:
         exact_state_distribution(P111, 4.0, 4, 60, error_budget=1e-12)
+    assert "raise M=4" in str(too_few_states.value)
+    assert "raise K=" not in str(too_few_states.value)
+
+
+@pytest.mark.parametrize("M", [8, 60])
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_distribution_matches_dense_matrix_mixing(params, M):
+    # the O(M) chain step against powers of the dense truncated matrix; at
+    # M=8 much mass escapes above M, and the truncation error must hold it
+    K = 60
+    T = 4.0
+    P = chain_matrix(params, M)
+    dist = np.zeros(M + 1)
+    dist[0] = 1.0
+    weight = math.exp(-params.alpha * T)
+    dense = weight * dist
+    for k in range(1, K + 1):
+        dist = dist @ P
+        weight *= params.alpha * T / k
+        dense += weight * dist
+    pmf = exact_state_distribution(params, T, M, K, error_budget=1.0)
+    assert np.abs(pmf.masses - dense).max() <= 1e-13
+    assert abs(pmf.truncation_error - (1.0 - dense.sum())) <= 1e-13
+
+
+def test_rare_tail_at_long_horizon():
+    # P(S(160) >= 80) is about 6.4e-24; its decay exponent is near the rate
+    # function's 0.3466 and its truncation bound is a real bound, not rounding
+    value, uncertainty = exact_tail_probability(P111, 160.0, 0.5, 1000, 1000)
+    assert -math.log(value) / 160.0 == pytest.approx(0.3338, abs=1e-3)
+    assert uncertainty <= 1e-3 * value
+
+
+def test_distribution_without_poisson_underflow():
+    # exp(-800) underflows to 0; the log-space weights do not
+    pmf = exact_state_distribution(P111, 800.0, 2000, 2000)
+    assert isinstance(pmf, Pmf)
+    assert pmf.truncation_error < 1e-9
+    # at rate 5000 the raw log-space terms sum to 1 only within ~4e-12; the
+    # normalised weights keep the Pmf invariant (1e-12) all the same
+    assert isinstance(exact_state_distribution(P111, 5000.0, 8, 6000, error_budget=1.0), Pmf)
+
+
+def test_truncation_error_is_the_poisson_tail_beyond_K():
+    # no path reaches M=64 within K=40 events, so the whole truncation error is
+    # P(N > 40) for N ~ Poisson(4), about 2.9e-27: far below rounding of 1 - sum
+    pmf = exact_state_distribution(P111, 4.0, 64, 40)
+    assert pmf.truncation_error == pytest.approx(scipy.stats.poisson.sf(40, 4.0), rel=1e-9, abs=0)
 
 
 def test_distribution_self_consistency_under_refinement():
@@ -115,6 +166,19 @@ def test_tail_beyond_event_cap_is_truncation_only():
     assert value <= uncertainty
     assert value == 0.0
     assert pmf.masses[61:].sum() == 0.0
+
+
+def test_tail_level_is_the_float_comparison():
+    # 0.28 * 25 rounds to 7.000000000000001, so ceil(x*T) would give 8
+    assert tail_level(0.28, 25.0) == 7
+    assert tail_level(0.0, 4.0) == 0
+    assert tail_level(-1.0, 4.0) == 0
+    for T in (3.0, 7.0, 25.0, 160.0):
+        for x in np.round(np.arange(0.01, 3.0, 0.01), 2):
+            k = tail_level(float(x), T)
+            assert k / T >= x and (k - 1) / T < x
+    with pytest.raises(ValueError):
+        tail_level(0.5, 0.0)
 
 
 def test_tail_monotone_in_x():

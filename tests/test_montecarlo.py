@@ -161,6 +161,14 @@ def test_reproducibility_and_worker_invariance():
     assert a == b == c
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        estimate_tail_naive(P111, 4.0, 0.5, 100, 1, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        rate_curve_sweep(P111, 0.5, [4.0], "naive", 100, 1, workers=workers)
+
+
 def test_sample_terminal_states_matches_oracle_quickly():
     pmf = exact_state_distribution(P111, 4.0, 64, 60)
     for construction in ("subordinated", "decomposed"):
