@@ -18,6 +18,7 @@ import argparse
 import csv
 from dataclasses import dataclass, replace
 import io
+import json
 import math
 import sys
 
@@ -534,7 +535,7 @@ def _error_record(category: str, exc: Exception) -> None:
     key = getattr(exc, "key", None)
     if key is not None:
         record["key"] = key
-    sys.stderr.write(_render_json(record) + "\n")
+    sys.stderr.write(json.dumps(record) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

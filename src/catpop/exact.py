@@ -227,17 +227,12 @@ def uniform_sum_tail_exact(m: int, n: int, a: float) -> float:
 
 
 def poisson_lower_tail_exact(rate: float, k: int) -> float:
-    """Exact P(N <= k) for N Poisson(rate), terms accumulated recursively."""
+    """Exact P(N <= k) for N Poisson(rate), summed from the log-space weights."""
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     if k < 0:
         return 0.0
-    term = math.exp(-rate)
-    total = term
-    for j in range(1, k + 1):
-        term *= rate / j
-        total += term
-    return total
+    return float(_poisson_weights(rate, k)[0].sum())
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -31,9 +31,7 @@ import math
 
 import numpy as np
 
-from .streams import check_seed, replica_rng
-
-_U64 = 1 << 64
+from .streams import _U64, check_seed, replica_rng
 
 
 class EventKind(IntEnum):
@@ -130,24 +128,6 @@ class OptimalPath:
         return np.where(t <= self.breakpoint, 0.0, self.slope * (t - self.breakpoint))
 
 
-def chain_step(state: int, params: ModelParams, rng: np.random.Generator) -> int:
-    """One transition of the embedded jump chain.
-
-    From ``i >= 1``: moves to ``i+1`` with probability lambda/(lambda+mu),
-    otherwise to a uniform level in ``{0, ..., i-1}``.  From 0 it moves to 1
-    with probability one (a draw is still consumed so that the branch taken
-    remains well defined).
-    """
-    if state < 0:
-        raise ValueError(f"state must be nonnegative, got {state}")
-    u = rng.random()
-    if state == 0:
-        return 1
-    if u < params.birth_prob:
-        return state + 1
-    return int(rng.integers(0, state))
-
-
 def _next_word(words: np.ndarray, wi: int, rng: np.random.Generator) -> tuple[int, int]:
     if wi < words.size:
         return int(words[wi]), wi + 1
@@ -178,8 +158,8 @@ def _subordinated_core(params: ModelParams, T: float, rng: np.random.Generator):
     post = np.empty(n, dtype=np.int64)
     state = 0
     wi = 0
-    for k in range(n):
-        if kinds[k] == 0 or state == 0:
+    for k, kind in enumerate(kinds.tolist()):
+        if kind == 0 or state == 0:
             # birth, or the forced 0 -> 1 move (the event keeps its branch label)
             state += 1
         else:
@@ -228,26 +208,16 @@ def _decomposed_core(
 
     words = rng.integers(0, _U64, size=tc.size, dtype=np.uint64)
     post = np.empty(times.size, dtype=np.int64)
-    cat_positions = np.nonzero(kinds)[0]
     state = 0
-    prev = 0
     wi = 0
-    for j in cat_positions:
-        j = int(j)
-        run = j - prev  # births since the previous catastrophe
-        if run:
-            post[prev:j] = state + np.arange(1, run + 1)
-            state += run
-        if state == 0:
-            state = 1  # a catastrophe of the empty population adds one
+    for k, kind in enumerate(kinds.tolist()):
+        if kind == 0 or state == 0:
+            # birth, or a catastrophe of the empty population, which adds one
+            state += 1
         else:
             drop, wi = _uniform_index(state, words, wi, rng)
-            state = state - 1 - drop
-        post[j] = state
-        prev = j + 1
-    run = times.size - prev
-    if run:
-        post[prev:] = state + np.arange(1, run + 1)
+            state -= 1 + drop
+        post[k] = state
     return times, kinds, post
 
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import math
+import os
 
 import numpy as np
 
 from .exact import tail_level
 from .model import (
-    EventKind,
     ModelParams,
     PathSample,
     ScaledPath,
@@ -98,10 +98,19 @@ def default_tilt(x: float, params: ModelParams, theta2: float = 0.05) -> TiltCon
     return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), theta2)
 
 
-def _log_weight(n1: int, n2: int, tilt: TiltConfig, params: ModelParams, T: float) -> float:
-    """Log likelihood ratio d(plain)/d(tilted) given late-window event counts."""
+def _weight(
+    times: np.ndarray, kinds: np.ndarray, tilt: TiltConfig, params: ModelParams, T: float
+) -> float:
+    """Likelihood ratio d(plain)/d(tilted) of one replica's sorted events.
+
+    Only the events of the late window ``(s*T, T]`` enter, found by bisection
+    on the sorted times; an event exactly at ``s*T`` counts as early.
+    """
+    first_late = int(np.searchsorted(times, tilt.switch_time_s * T, side="right"))
+    n2 = int(np.count_nonzero(kinds[first_late:]))  # late catastrophes
+    n1 = kinds.size - first_late - n2  # late births
     window = (1.0 - tilt.switch_time_s) * T
-    return (
+    return math.exp(
         (tilt.theta1 - 1.0) * params.birth_rate * window
         - n1 * math.log(tilt.theta1)
         + (tilt.theta2 - 1.0) * params.catastrophe_rate * window
@@ -111,10 +120,7 @@ def _log_weight(n1: int, n2: int, tilt: TiltConfig, params: ModelParams, T: floa
 
 def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T: float) -> float:
     """Importance weight of a path sampled under the tilted intensities."""
-    late = path.times > tilt.switch_time_s * T
-    n1 = int(np.count_nonzero(late & (path.kinds == EventKind.BIRTH)))
-    n2 = int(np.count_nonzero(late & (path.kinds == EventKind.CATASTROPHE)))
-    return math.exp(_log_weight(n1, n2, tilt, params, T))
+    return _weight(path.times, path.kinds, tilt, params, T)
 
 
 def _run_chunk(args) -> dict:
@@ -125,24 +131,14 @@ def _run_chunk(args) -> dict:
     sup = np.empty(count, dtype=np.int64)
     weights = np.ones(count)
     rows = np.empty((count, grid.size)) if grid is not None else None
-    s_cut = tilt.switch_time_s * T if tilt is not None else 0.0
+    kernel = _subordinated_core if construction == "subordinated" else _decomposed_core
+    tilt_args = () if tilt is None else (tilt.switch_time_s, tilt.theta1, tilt.theta2)
     for k in range(count):
-        rng = replica_rng(seed, start + k)
-        if construction == "subordinated":
-            times, kinds, post = _subordinated_core(params, T, rng)
-        elif tilt is None:
-            times, kinds, post = _decomposed_core(params, T, rng)
-        else:
-            times, kinds, post = _decomposed_core(
-                params, T, rng, tilt.switch_time_s, tilt.theta1, tilt.theta2
-            )
+        times, kinds, post = kernel(params, T, replica_rng(seed, start + k), *tilt_args)
         terminal[k] = post[-1] if post.size else 0
         sup[k] = post.max() if post.size else 0
         if tilt is not None:
-            late = times > s_cut
-            n1 = int(np.count_nonzero(late & (kinds == 0)))
-            n2 = int(np.count_nonzero(late & (kinds == 1)))
-            weights[k] = math.exp(_log_weight(n1, n2, tilt, params, T))
+            weights[k] = _weight(times, kinds, tilt, params, T)
         if rows is not None:
             rows[k] = _grid_states(times, post, grid)
     out = {"terminal": terminal, "sup": sup, "weights": weights}
@@ -151,10 +147,11 @@ def _run_chunk(args) -> dict:
     return out
 
 
-def _worker_count(workers: int) -> int:
+def _worker_count(workers: int, n: int) -> int:
+    """Worker processes to start: ``workers``, capped at the CPU count and at n."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers)
+    return min(int(workers), os.cpu_count() or 1, n)
 
 
 def _run_replicas(params, T, tilt, construction, seed, n, workers, grid=None) -> dict:
@@ -164,7 +161,7 @@ def _run_replicas(params, T, tilt, construction, seed, n, workers, grid=None) ->
         raise ValueError(f"replica count n must be >= 1, got {n}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    workers = _worker_count(workers)
+    workers = _worker_count(workers, n)
     if workers == 1:
         chunks = [_run_chunk((params, T, tilt, construction, seed, 0, n, grid))]
     else:
@@ -290,7 +287,7 @@ def rate_curve_sweep(
     """
     if method not in ("naive", "is"):
         raise ValueError(f"method must be 'naive' or 'is', got {method!r}")
-    _worker_count(workers)
+    _worker_count(workers, n)
     points: list[SweepPoint] = []
     for T in T_list:
         sub_seed = derive_seed(seed, float_key(T))

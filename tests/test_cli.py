@@ -246,6 +246,21 @@ def test_workers_below_one_rejected(tmp_path, capsys, workers):
     assert record["key"] == "workers"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["exact", "--T", "800"], 3),
+        (["estimate", "--T", "4", "--x", "0.5", "--n", "100", "--workers", "0"], 2),
+    ],
+)
+def test_error_record_is_one_json_line(tmp_path, capsys, argv, code):
+    rc, _ = _run(tmp_path, *argv)
+    assert rc == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["message"]
+
+
 def test_missing_required_key_rejected(tmp_path, capsys):
     rc, _ = _run(tmp_path, "estimate", "--x", "0.5")
     assert rc == 2

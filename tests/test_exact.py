@@ -236,6 +236,13 @@ def test_poisson_tail_matches_scipy(rate, k):
     assert ours == pytest.approx(reference, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("rate, k", [(800.0, 800), (5000.0, 4900)])
+def test_poisson_tail_matches_scipy_at_large_rates(rate, k):
+    # exp(-rate) underflows here; the log-space weights do not
+    reference = scipy.stats.poisson.cdf(k, rate)
+    assert poisson_lower_tail_exact(rate, k) == pytest.approx(reference, rel=1e-10)
+
+
 def test_total_variation_basics():
     assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
     assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.0])) == 0.0

@@ -12,15 +12,15 @@ from catpop.model import (
     OptimalPath,
     PathSample,
     SimSpec,
-    chain_step,
     optimal_path,
     scale_path,
     simulate_decomposed,
     simulate_subordinated,
     sup_value,
     terminal_value,
+    _uniform_index,
 )
-from catpop.streams import replica_rng
+from catpop.streams import _U64, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 
@@ -49,31 +49,42 @@ def test_simspec_validation():
         SimSpec(horizon_T=1.0, seed=1, replica_index=-1)
 
 
-def test_chain_step_from_zero_always_one():
-    rng = replica_rng(0, 0)
-    assert all(chain_step(0, P111, rng) == 1 for _ in range(200))
+def _landing_frequencies(state, rng, n=60_000):
+    # draws off one buffered word stream, as the kernels take them
+    words = rng.integers(0, _U64, size=n, dtype=np.uint64)
+    wi = 0
+    counts = np.zeros(state)
+    for _ in range(n):
+        u, wi = _uniform_index(state, words, wi, rng)
+        counts[u] += 1
+    return counts / n
 
 
-def test_chain_step_from_three_frequencies():
-    # i=3, lam=mu=1: P(4)=1/2, P(0)=P(1)=P(2)=1/6
-    rng = replica_rng(1, 0)
-    n = 60_000
-    counts = np.bincount([chain_step(3, P111, rng) for _ in range(n)], minlength=5)
-    freq = counts / n
-    assert abs(freq[4] - 0.5) < 0.01
-    for j in range(3):
-        assert abs(freq[j] - 1.0 / 6.0) < 0.01
-    assert counts[3] == 0
+def _catastrophe_row(params, state):
+    # the catastrophe part of the kernel row, conditioned on a catastrophe
+    row = chain_matrix(params, state)[state, :state]
+    return row / row.sum()
 
 
-def test_chain_step_matches_kernel_row():
-    # empirical law of the inlined simulator step equals the kernel row
+def test_uniform_index_from_three_frequencies():
+    # from i=3 the landing levels 0, 1, 2 are equally likely
+    freq = _landing_frequencies(3, replica_rng(1, 0))
+    assert np.abs(freq - _catastrophe_row(P111, 3)).max() < 0.01
+
+
+def test_uniform_index_matches_kernel_row():
     params = ModelParams(2.0, 3.0, 1.0)
-    row = chain_matrix(params, 12)[7]
-    rng = replica_rng(2, 0)
-    n = 60_000
-    freq = np.bincount([chain_step(7, params, rng) for _ in range(n)], minlength=13) / n
-    assert total_variation(freq, row) < 0.01
+    freq = _landing_frequencies(7, replica_rng(2, 0))
+    assert total_variation(freq, _catastrophe_row(params, 7)) < 0.01
+
+
+def test_uniform_index_empty_buffer_draws_fresh_words():
+    # with the buffer spent, the word comes straight from the generator
+    rng = replica_rng(3, 0)
+    u, wi = _uniform_index(7, np.empty(0, dtype=np.uint64), 0, rng)
+    word = int(replica_rng(3, 0).integers(0, _U64, size=1, dtype=np.uint64)[0])
+    assert wi == 0
+    assert u == word % 7  # 2**64 % 7 == 2: only the two largest words are rejected
 
 
 @pytest.mark.parametrize(

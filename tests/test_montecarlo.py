@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from catpop import montecarlo
 from catpop.exact import exact_state_distribution, total_variation
-from catpop.model import ModelParams, SimSpec, simulate_decomposed
+from catpop.model import ModelParams, PathSample, SimSpec, _decomposed_core, simulate_decomposed
 from catpop.montecarlo import (
     EstimateResult,
     TiltConfig,
@@ -16,7 +17,9 @@ from catpop.montecarlo import (
     rate_curve_sweep,
     sample_terminal_states,
     sup_exceedance_fraction,
+    _worker_count,
 )
+from catpop.streams import replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 EXACT_TAIL_111_T4_X05 = 0.364847004572957
@@ -98,6 +101,31 @@ def test_likelihood_ratio_counts_late_events_only():
     assert likelihood_ratio(path, tilt, P111, T) == pytest.approx(expected, rel=1e-12)
 
 
+def test_event_at_switch_time_counts_as_early():
+    tilt = TiltConfig(0.5, 2.0, 0.05)
+    T = 4.0
+    empty = PathSample(np.empty(0), np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64))
+
+    def one_catastrophe_at(t):
+        return PathSample(np.array([t]), np.array([1], dtype=np.uint8), np.array([1], dtype=np.int64))
+
+    early = likelihood_ratio(empty, tilt, P111, T)
+    assert likelihood_ratio(one_catastrophe_at(2.0), tilt, P111, T) == early
+    assert likelihood_ratio(one_catastrophe_at(np.nextafter(2.0, 3.0)), tilt, P111, T) != early
+
+
+def test_collected_weights_are_likelihood_ratios_of_their_replicas():
+    # the estimators weight each replica by likelihood_ratio of the kernel's own path
+    T, seed = 40.0, 71
+    tilt = default_tilt(0.5, P111)
+    samples = collect_weighted_paths(P111, T, 0.5, tilt, 2_000, seed)
+    for i, (_, weight, _) in enumerate(samples[:200]):
+        path = PathSample(*_decomposed_core(
+            P111, T, replica_rng(seed, i), tilt.switch_time_s, tilt.theta1, tilt.theta2
+        ))
+        assert weight == likelihood_ratio(path, tilt, P111, T)
+
+
 def test_naive_estimate_at_zero_level():
     result = estimate_tail_naive(P111, 4.0, 0.0, 500, 7)
     assert result.p_hat == 1.0
@@ -167,6 +195,26 @@ def test_workers_below_one_rejected(workers):
         estimate_tail_naive(P111, 4.0, 0.5, 100, 1, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         rate_curve_sweep(P111, 0.5, [4.0], "naive", 100, 1, workers=workers)
+
+
+def test_worker_count_capped_at_cpus_and_replicas(monkeypatch):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    assert _worker_count(100_000, 10) == 4
+    assert _worker_count(100_000, 3) == 3
+    assert _worker_count(2, 10) == 2
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert _worker_count(8, 10) == 1
+    with pytest.raises(ValueError, match="workers"):
+        _worker_count(0, 10)
+
+
+def test_workers_above_replica_count_run_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single replica must not start a process pool")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    one = estimate_tail_naive(P111, 4.0, 0.5, 1, 73, workers=1)
+    assert estimate_tail_naive(P111, 4.0, 0.5, 1, 73, workers=5) == one
 
 
 def test_sample_terminal_states_matches_oracle_quickly():
