@@ -322,7 +322,8 @@ def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
         overrides["theta1"] = cfg["tilt_theta1"]
     if cfg.get("tilt_theta2") is not None:
         overrides["theta2"] = cfg["tilt_theta2"]
-    return replace(base, **overrides) if overrides else base
+    tilt = replace(base, **overrides) if overrides else base
+    return tilt.at_horizon(params, cfg["T"])
 
 
 def _cmd_simulate(cfg: dict, params: ModelParams):

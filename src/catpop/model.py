@@ -16,6 +16,12 @@ Two independent constructions of the same process are provided:
   ``alpha*mu/(lambda+mu)``; a catastrophe at level ``m >= 1`` removes a
   uniform amount in ``{1, ..., m}`` and at level 0 adds one.
 
+Each construction is one block kernel: a call simulates a block of replicas
+from one generator, one row per replica, and steps every row through its
+sorted events one event column at a time.  The simulators above are the
+one-replica block; the Monte Carlo estimators run blocks of
+``streams.BLOCK``.
+
 Paths are stored as change points only.  :func:`scale_path` produces the
 scaled path ``t -> state(T*t)/T`` on ``[0, 1]``, and :func:`optimal_path`
 gives the most probable trajectory by which the scaled terminal value
@@ -31,7 +37,7 @@ import math
 
 import numpy as np
 
-from .streams import _U64, check_seed, replica_rng
+from .streams import check_seed, replica_rng
 
 
 class EventKind(IntEnum):
@@ -128,55 +134,91 @@ class OptimalPath:
         return np.where(t <= self.breakpoint, 0.0, self.slope * (t - self.breakpoint))
 
 
-def _next_word(words: np.ndarray, wi: int, rng: np.random.Generator) -> tuple[int, int]:
-    if wi < words.size:
-        return int(words[wi]), wi + 1
-    return int(rng.integers(0, _U64, size=1, dtype=np.uint64)[0]), wi
+@dataclass(eq=False)
+class _Block:
+    """Events and states of a block of replicas, one row per replica.
 
-
-def _uniform_index(m: int, words: np.ndarray, wi: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Exact uniform draw from {0, ..., m-1} off a buffered 64-bit word stream.
-
-    Words above the largest multiple of m are rejected so the result carries
-    no modulo bias.
+    ``times`` holds each row's sorted event times, padded with ``+inf`` past
+    its ``counts`` events; ``kinds`` is 0 on the padding and ``post`` repeats
+    the terminal state there.
     """
-    limit = _U64 - _U64 % m
-    while True:
-        w, wi = _next_word(words, wi, rng)
-        if w < limit:
-            return w % m, wi
+
+    times: np.ndarray
+    kinds: np.ndarray
+    counts: np.ndarray
+    post: np.ndarray
+    terminal: np.ndarray
+    sup: np.ndarray
+
+    def path(self, row: int) -> PathSample:
+        n = int(self.counts[row])
+        return PathSample(self.times[row, :n], self.kinds[row, :n], self.post[row, :n])
 
 
-def _subordinated_core(params: ModelParams, T: float, rng: np.random.Generator):
-    """Jump chain run at Poisson clock times; returns (times, kinds, post_states)."""
-    n = int(rng.poisson(params.alpha * T))
-    # 1 - U keeps the arrival times inside (0, T]
-    times = np.sort(T * (1.0 - rng.random(n)))
-    branch = rng.random(n)
-    words = rng.integers(0, _U64, size=n, dtype=np.uint64)
-    kinds = (branch >= params.birth_prob).astype(np.uint8)
-    post = np.empty(n, dtype=np.int64)
-    state = 0
-    wi = 0
-    for k, kind in enumerate(kinds.tolist()):
-        if kind == 0 or state == 0:
-            # birth, or the forced 0 -> 1 move (the event keeps its branch label)
-            state += 1
-        else:
-            state, wi = _uniform_index(state, words, wi, rng)
-        post[k] = state
-    return times, kinds, post
+def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, length: float) -> np.ndarray:
+    """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r."""
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    times = np.full(live.shape, np.inf)
+    # 1 - U keeps the arrival times inside (start, stop]
+    times[live] = start + length * (1.0 - rng.random(int(counts.sum())))
+    return times
 
 
-def _decomposed_core(
+def _run_events(times, kinds, counts, rng, land) -> _Block:
+    """Step every row of a block through its sorted events, one event column at a time.
+
+    A birth, or any event of the empty population, adds one; a catastrophe
+    at level m draws u uniform on {0, ..., m-1} (``Generator.integers`` with
+    an array bound, unbiased per element) and moves to ``land(m, u)``.
+    """
+    rows, width = times.shape
+    live = np.ascontiguousarray((np.arange(width) < counts[:, None]).T)
+    cats = np.ascontiguousarray(kinds.T == EventKind.CATASTROPHE)
+    state = np.zeros(rows, dtype=np.int64)
+    sup = np.zeros(rows, dtype=np.int64)
+    post = np.empty((width, rows), dtype=np.int64)
+    for c in range(width):
+        hit = cats[c] & (state > 0)
+        state += live[c] & ~hit
+        if hit.any():
+            m = state[hit]
+            state[hit] = land(m, rng.integers(0, m))
+        post[c] = state
+        np.maximum(sup, state, out=sup)
+    return _Block(times, kinds, counts, post.T, state, sup)
+
+
+def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Jump-chain catastrophe: from level m the chain lands on level u."""
+    return u
+
+
+def _drop_by(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Catastrophe-stream event: level m loses 1 + u individuals."""
+    return m - 1 - u
+
+
+def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator, rows: int) -> _Block:
+    """Jump chain run at Poisson clock times, for a block of ``rows`` replicas."""
+    counts = rng.poisson(params.alpha * T, size=rows)
+    times = np.sort(_padded_times(rng, counts, 0.0, T), axis=1)
+    kinds = np.zeros(times.shape, dtype=np.uint8)
+    # the clock's marks are independent of its times, so they are drawn in time order
+    kinds[times < np.inf] = rng.random(int(counts.sum())) >= params.birth_prob
+    # the forced 0 -> 1 move keeps the event's label
+    return _run_events(times, kinds, counts, rng, _land_at)
+
+
+def _decomposed_block(
     params: ModelParams,
     T: float,
     rng: np.random.Generator,
+    rows: int,
     switch_time_s: float = 0.0,
     theta1: float = 1.0,
     theta2: float = 1.0,
-):
-    """Two merged Poisson streams; returns (times, kinds, post_states).
+) -> _Block:
+    """Two merged Poisson streams, for a block of ``rows`` replicas.
 
     On the late window ``(s*T, T]`` the birth and catastrophe intensities are
     multiplied by ``theta1`` and ``theta2``; with the identity multipliers the
@@ -188,56 +230,56 @@ def _decomposed_core(
         segments.append((0.0, switch_time_s * T, r1, r2))
     segments.append((switch_time_s * T, T, theta1 * r1, theta2 * r2))
 
-    birth_times, cat_times = [], []
+    births, cats = [], []
     for start, stop, rb, rc in segments:
         length = stop - start
-        nb = int(rng.poisson(rb * length))
-        nc = int(rng.poisson(rc * length))
-        # 1 - U keeps the arrival times inside (start, stop]
-        birth_times.append(start + length * (1.0 - rng.random(nb)))
-        cat_times.append(start + length * (1.0 - rng.random(nc)))
-    tb = np.concatenate(birth_times)
-    tc = np.concatenate(cat_times)
+        nb = rng.poisson(rb * length, size=rows)
+        nc = rng.poisson(rc * length, size=rows)
+        births.append(_padded_times(rng, nb, start, length))
+        cats.append(_padded_times(rng, nc, start, length))
+    times = np.concatenate(births + cats, axis=1)
+    kinds = np.zeros(times.shape, dtype=np.uint8)
+    kinds[:, sum(b.shape[1] for b in births):] = EventKind.CATASTROPHE
 
-    times = np.concatenate([tb, tc])
-    kinds = np.zeros(times.size, dtype=np.uint8)
-    kinds[tb.size:] = EventKind.CATASTROPHE
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    kinds = kinds[order]
-
-    words = rng.integers(0, _U64, size=tc.size, dtype=np.uint64)
-    post = np.empty(times.size, dtype=np.int64)
-    state = 0
-    wi = 0
-    for k, kind in enumerate(kinds.tolist()):
-        if kind == 0 or state == 0:
-            # birth, or a catastrophe of the empty population, which adds one
-            state += 1
-        else:
-            drop, wi = _uniform_index(state, words, wi, rng)
-            state -= 1 + drop
-        post[k] = state
-    return times, kinds, post
+    counts = np.count_nonzero(times < np.inf, axis=1)
+    order = np.argsort(times, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    times = np.take_along_axis(times, order, axis=1)
+    kinds = np.take_along_axis(kinds, order, axis=1)
+    kinds[times == np.inf] = EventKind.BIRTH
+    return _run_events(times, kinds, counts, rng, _drop_by)
 
 
 def simulate_subordinated(params: ModelParams, spec: SimSpec) -> PathSample:
     """Simulate one replica as the jump chain subordinated to a Poisson clock."""
-    times, kinds, post = _subordinated_core(params, spec.horizon_T, spec.rng())
-    return PathSample(times, kinds, post)
+    return _subordinated_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 
 def simulate_decomposed(params: ModelParams, spec: SimSpec) -> PathSample:
     """Simulate one replica from two independent birth/catastrophe streams."""
-    times, kinds, post = _decomposed_core(params, spec.horizon_T, spec.rng())
-    return PathSample(times, kinds, post)
+    return _decomposed_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 
-def _grid_states(times: np.ndarray, post: np.ndarray, grid_times: np.ndarray) -> np.ndarray:
-    """State just after the last event at or before each grid time."""
-    states = np.concatenate((np.zeros(1, dtype=post.dtype), post))
-    idx = np.searchsorted(times, grid_times, side="right")
-    return states[idx]
+def _grid_states(times: np.ndarray, post: np.ndarray, grid_times: np.ndarray, T: float) -> np.ndarray:
+    """State of each row just after its last event at or before each grid time.
+
+    Rows hold sorted event times (``+inf`` padding allowed) and the states
+    after them; grid times lie in [0, T].  One ``searchsorted`` serves every
+    row: row r's times, clipped at 2T, are offset by ``r*(2T+1)`` and the
+    rows flattened.  Rounding of the offset sums is monotone, so it can only
+    count an event just after a grid time as at or before it; such indices
+    are stepped back against the unrounded times.
+    """
+    rows, width = times.shape
+    offset = np.arange(rows)[:, None] * (2.0 * T + 1.0)
+    keys = (np.minimum(times, 2.0 * T) + offset).ravel()
+    idx = np.searchsorted(keys, (grid_times + offset).ravel(), side="right").reshape(rows, -1)
+    idx -= np.arange(rows)[:, None] * width
+    # column 0 stands for "before the first event"
+    times = np.concatenate((np.full((rows, 1), -np.inf), times), axis=1)
+    while (late := np.take_along_axis(times, idx, axis=1) > grid_times).any():
+        idx -= late
+    states = np.concatenate((np.zeros((rows, 1), dtype=post.dtype), post), axis=1)
+    return np.take_along_axis(states, idx, axis=1)
 
 
 def scale_path(path: PathSample, T: float, grid_size: int) -> ScaledPath:
@@ -249,7 +291,7 @@ def scale_path(path: PathSample, T: float, grid_size: int) -> ScaledPath:
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    values = _grid_states(path.times, path.post_states, grid * T) / T
+    values = _grid_states(path.times[None], path.post_states[None], grid * T, T)[0] / T
     return ScaledPath(grid, values)
 
 

@@ -8,16 +8,16 @@ likelihood ratio of the intensity change.  Catastrophe landing draws are
 identical under both measures, so only the two stream intensities enter the
 weight.
 
-Replicas are independent and embarrassingly parallel: each derives its own
-random stream from ``(seed, replica_index)``, partial results are merged by
-value in replica order, and the final figures are identical for any worker
-count.
+Replicas are simulated in blocks of ``streams.BLOCK``: block ``b`` runs
+replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through one block kernel on the
+stream ``(seed, b)``.  Whole blocks are spread over the workers and merged in
+block order, so the final figures are identical for any worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 import os
 
@@ -25,14 +25,15 @@ import numpy as np
 
 from .exact import tail_level
 from .model import (
+    EventKind,
     ModelParams,
     PathSample,
     ScaledPath,
-    _decomposed_core,
+    _decomposed_block,
     _grid_states,
-    _subordinated_core,
+    _subordinated_block,
 )
-from .streams import check_seed, derive_seed, float_key, replica_rng
+from .streams import BLOCK, check_seed, derive_seed, float_key, replica_rng
 
 _Z95 = 1.959963984540054
 
@@ -44,18 +45,31 @@ class TiltConfig:
     On the scaled window [switch_time_s, 1] the birth-stream intensity is
     multiplied by ``theta1`` and the catastrophe-stream intensity by
     ``theta2``.  Multipliers must be positive: a zero intensity would give
-    unbounded likelihood ratios and break unbiasedness.
+    unbounded likelihood ratios and break unbiasedness.  ``theta2=None``
+    matches the catastrophe damping to the horizon (see :meth:`at_horizon`).
     """
 
     switch_time_s: float = 0.0
     theta1: float = 1.0
-    theta2: float = 1.0
+    theta2: float | None = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.switch_time_s < 1.0:
             raise ValueError(f"switch_time_s must lie in [0, 1), got {self.switch_time_s}")
-        if self.theta1 <= 0 or self.theta2 <= 0:
+        if self.theta1 <= 0 or (self.theta2 is not None and self.theta2 <= 0):
             raise ValueError("tilt multipliers theta1, theta2 must be > 0")
+
+    def at_horizon(self, params: ModelParams, T: float) -> "TiltConfig":
+        """This tilt with a horizon-matched ``theta2`` filled in.
+
+        If the late window ``(s*T, T]`` expects ``r = catastrophe_rate*(1-s)*T``
+        catastrophes, ``theta2 = 1/(1+r)`` leaves ``r/(1+r) < 1`` of them
+        under the tilt.  A set ``theta2`` is kept.
+        """
+        if self.theta2 is not None:
+            return self
+        expected = params.catastrophe_rate * (1.0 - self.switch_time_s) * T
+        return replace(self, theta2=1.0 / (1.0 + expected))
 
     @classmethod
     def identity(cls) -> "TiltConfig":
@@ -82,13 +96,14 @@ class EstimateResult:
     ess_warning: bool = False
 
 
-def default_tilt(x: float, params: ModelParams, theta2: float = 0.05) -> TiltConfig:
+def default_tilt(x: float, params: ModelParams, theta2: float | None = None) -> TiltConfig:
     """Tilt that drives the process along the most probable path to level x.
 
     Below the clock rate the birth stream is boosted to total intensity
     ``alpha`` on the climb window; at or above it the whole horizon is tilted
     so births arrive at intensity ``x``.  The catastrophe stream is damped by
-    ``theta2`` (kept positive so weights stay finite).
+    ``theta2`` (kept positive so weights stay finite); by default it is
+    matched to the horizon of each run (:meth:`TiltConfig.at_horizon`).
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"deviation level x must be finite and > 0, got {x}")
@@ -98,82 +113,86 @@ def default_tilt(x: float, params: ModelParams, theta2: float = 0.05) -> TiltCon
     return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), theta2)
 
 
-def _weight(
-    times: np.ndarray, kinds: np.ndarray, tilt: TiltConfig, params: ModelParams, T: float
-) -> float:
-    """Likelihood ratio d(plain)/d(tilted) of one replica's sorted events.
+def _late_counts(times: np.ndarray, kinds: np.ndarray, tilt: TiltConfig, T: float):
+    """Births and catastrophes of the late window ``(s*T, T]`` in each row.
 
-    Only the events of the late window ``(s*T, T]`` enter, found by bisection
-    on the sorted times; an event exactly at ``s*T`` counts as early.
+    Rows hold sorted event times padded with ``+inf``; an event exactly at
+    ``s*T`` counts as early.
     """
-    first_late = int(np.searchsorted(times, tilt.switch_time_s * T, side="right"))
-    n2 = int(np.count_nonzero(kinds[first_late:]))  # late catastrophes
-    n1 = kinds.size - first_late - n2  # late births
+    late = (times > tilt.switch_time_s * T) & (times < np.inf)
+    cats = np.count_nonzero(late & (kinds == EventKind.CATASTROPHE), axis=-1)
+    return np.count_nonzero(late, axis=-1) - cats, cats
+
+
+def _weight(
+    late_births: np.ndarray, late_cats: np.ndarray, tilt: TiltConfig, params: ModelParams, T: float
+) -> np.ndarray:
+    """Likelihood ratios d(plain)/d(tilted) of replicas with the given late-window counts."""
     window = (1.0 - tilt.switch_time_s) * T
-    return math.exp(
+    return np.exp(
         (tilt.theta1 - 1.0) * params.birth_rate * window
-        - n1 * math.log(tilt.theta1)
+        - late_births * math.log(tilt.theta1)
         + (tilt.theta2 - 1.0) * params.catastrophe_rate * window
-        - n2 * math.log(tilt.theta2)
+        - late_cats * math.log(tilt.theta2)
     )
 
 
 def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T: float) -> float:
     """Importance weight of a path sampled under the tilted intensities."""
-    return _weight(path.times, path.kinds, tilt, params, T)
+    tilt = tilt.at_horizon(params, T)
+    counts = _late_counts(path.times[None], path.kinds[None], tilt, T)
+    return float(_weight(*counts, tilt, params, T)[0])
 
 
-def _run_chunk(args) -> dict:
-    """Simulate replicas [start, stop) and return per-replica summaries."""
+def _run_block(args) -> dict:
+    """Simulate the block of replicas [start, stop) on its stream and summarise each replica."""
     params, T, tilt, construction, seed, start, stop, grid = args
-    count = stop - start
-    terminal = np.empty(count, dtype=np.int64)
-    sup = np.empty(count, dtype=np.int64)
-    weights = np.ones(count)
-    rows = np.empty((count, grid.size)) if grid is not None else None
-    kernel = _subordinated_core if construction == "subordinated" else _decomposed_core
-    tilt_args = () if tilt is None else (tilt.switch_time_s, tilt.theta1, tilt.theta2)
-    for k in range(count):
-        times, kinds, post = kernel(params, T, replica_rng(seed, start + k), *tilt_args)
-        terminal[k] = post[-1] if post.size else 0
-        sup[k] = post.max() if post.size else 0
-        if tilt is not None:
-            weights[k] = _weight(times, kinds, tilt, params, T)
-        if rows is not None:
-            rows[k] = _grid_states(times, post, grid)
-    out = {"terminal": terminal, "sup": sup, "weights": weights}
-    if rows is not None:
-        out["rows"] = rows
+    rng = replica_rng(seed, start // BLOCK)
+    if construction == "subordinated":
+        block = _subordinated_block(params, T, rng, stop - start)
+    else:
+        tilt_args = () if tilt is None else (tilt.switch_time_s, tilt.theta1, tilt.theta2)
+        block = _decomposed_block(params, T, rng, stop - start, *tilt_args)
+    out = {"terminal": block.terminal, "sup": block.sup}
+    if tilt is None:
+        out["weights"] = np.ones(stop - start)
+    else:
+        out["weights"] = _weight(*_late_counts(block.times, block.kinds, tilt, T), tilt, params, T)
+    if grid is not None:
+        out["rows"] = _grid_states(block.times, block.post, grid, T)
     return out
 
 
-def _worker_count(workers: int, n: int) -> int:
-    """Worker processes to start: ``workers``, capped at the CPU count and at n."""
+def _block_bounds(n: int) -> list[tuple[int, int]]:
+    """Replica ranges of the blocks of an n-replica run: [b*BLOCK, min((b+1)*BLOCK, n))."""
+    return [(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
+
+
+def _worker_count(workers: int, blocks: int) -> int:
+    """Worker processes to start: ``workers``, capped at the CPU count and at the block count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(int(workers), os.cpu_count() or 1, n)
+    return min(int(workers), os.cpu_count() or 1, blocks)
 
 
 def _run_replicas(params, T, tilt, construction, seed, n, workers, grid=None) -> dict:
-    """Run n replicas, possibly across processes; merge in replica order."""
+    """Run n replicas block by block, possibly across processes; merge in block order."""
     check_seed(seed)
     if n < 1:
         raise ValueError(f"replica count n must be >= 1, got {n}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    workers = _worker_count(workers, n)
+    if tilt is not None:
+        tilt = tilt.at_horizon(params, T)
+    bounds = _block_bounds(n)
+    workers = _worker_count(workers, len(bounds))
+    args = [(params, T, tilt, construction, seed, start, stop, grid) for start, stop in bounds]
     if workers == 1:
-        chunks = [_run_chunk((params, T, tilt, construction, seed, 0, n, grid))]
+        blocks = [_run_block(a) for a in args]
     else:
-        bounds = np.linspace(0, n, workers * 4 + 1).astype(int)
-        args = [
-            (params, T, tilt, construction, seed, int(a), int(b), grid)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, args))
-    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+            blocks = list(pool.map(_run_block, args))
+    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
 
 def _wilson_interval(p_hat: float, n: int) -> tuple[float, float]:

@@ -1,9 +1,13 @@
 """Reproducible random streams for parallel replica simulation.
 
-Every replica gets its own generator derived from ``(seed, replica_index)``
-through numpy's ``SeedSequence`` spawn-key mechanism, so stream identity does
-not depend on how replicas are batched across workers or in what order they
-run.  Within a replica all draws come from that single generator.
+Replicas are simulated in blocks of ``BLOCK`` = 1024: block ``b`` holds
+replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` and draws all its randomness
+from one generator derived from ``(seed, b)`` through numpy's
+``SeedSequence`` spawn-key mechanism.  ``BLOCK`` is a constant, never derived
+from the worker count or from ``n``, so stream identity does not depend on
+how blocks are spread across workers or in what order they run.  A single
+simulated path (``simulate_*``, ``catpop simulate``) is the one-replica block
+on ``(seed, replica_index)``.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = 1 << 64
+
+BLOCK = 1024  # replicas per random stream
 
 
 def check_seed(seed: int) -> int:
@@ -22,7 +28,11 @@ def check_seed(seed: int) -> int:
 
 
 def replica_rng(seed: int, replica_index: int) -> np.random.Generator:
-    """Independent generator for one replica of a seeded experiment."""
+    """Independent generator of stream ``(seed, replica_index)``.
+
+    The index is a block index for the block kernels and a replica index for
+    a single simulated path.
+    """
     if replica_index < 0:
         raise ValueError(f"replica_index must be nonnegative, got {replica_index}")
     ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=(int(replica_index),))

@@ -18,9 +18,14 @@ from catpop.model import (
     simulate_subordinated,
     sup_value,
     terminal_value,
-    _uniform_index,
+    _decomposed_block,
+    _drop_by,
+    _grid_states,
+    _land_at,
+    _run_events,
+    _subordinated_block,
 )
-from catpop.streams import _U64, replica_rng
+from catpop.streams import BLOCK, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 
@@ -49,15 +54,13 @@ def test_simspec_validation():
         SimSpec(horizon_T=1.0, seed=1, replica_index=-1)
 
 
-def _landing_frequencies(state, rng, n=60_000):
-    # draws off one buffered word stream, as the kernels take them
-    words = rng.integers(0, _U64, size=n, dtype=np.uint64)
-    wi = 0
-    counts = np.zeros(state)
-    for _ in range(n):
-        u, wi = _uniform_index(state, words, wi, rng)
-        counts[u] += 1
-    return counts / n
+def _landing_frequencies(state, rng, land, n=60_000):
+    # one block of n replicas: `state` births, then one catastrophe each
+    kinds = np.zeros((n, state + 1), dtype=np.uint8)
+    kinds[:, -1] = EventKind.CATASTROPHE
+    times = np.broadcast_to(np.arange(1.0, state + 2), kinds.shape)
+    block = _run_events(times, kinds, np.full(n, state + 1), rng, land)
+    return np.bincount(block.terminal, minlength=state) / n
 
 
 def _catastrophe_row(params, state):
@@ -66,25 +69,18 @@ def _catastrophe_row(params, state):
     return row / row.sum()
 
 
-def test_uniform_index_from_three_frequencies():
-    # from i=3 the landing levels 0, 1, 2 are equally likely
-    freq = _landing_frequencies(3, replica_rng(1, 0))
+@pytest.mark.parametrize("land", [_land_at, _drop_by])
+def test_catastrophe_landing_from_three_frequencies(land):
+    # from i=3 the landing levels 0, 1, 2 are equally likely, in both kernels
+    freq = _landing_frequencies(3, replica_rng(1, 0), land)
     assert np.abs(freq - _catastrophe_row(P111, 3)).max() < 0.01
 
 
-def test_uniform_index_matches_kernel_row():
+@pytest.mark.parametrize("land", [_land_at, _drop_by])
+def test_catastrophe_landing_matches_kernel_row(land):
     params = ModelParams(2.0, 3.0, 1.0)
-    freq = _landing_frequencies(7, replica_rng(2, 0))
+    freq = _landing_frequencies(7, replica_rng(2, 0), land)
     assert total_variation(freq, _catastrophe_row(params, 7)) < 0.01
-
-
-def test_uniform_index_empty_buffer_draws_fresh_words():
-    # with the buffer spent, the word comes straight from the generator
-    rng = replica_rng(3, 0)
-    u, wi = _uniform_index(7, np.empty(0, dtype=np.uint64), 0, rng)
-    word = int(replica_rng(3, 0).integers(0, _U64, size=1, dtype=np.uint64)[0])
-    assert wi == 0
-    assert u == word % 7  # 2**64 % 7 == 2: only the two largest words are rejected
 
 
 @pytest.mark.parametrize(
@@ -141,24 +137,40 @@ def test_catastrophe_from_one_lands_at_zero():
     assert seen > 100
 
 
+def _assert_path_invariants(path, T):
+    assert np.all(np.diff(path.times) > 0)
+    assert np.all(path.times <= T)
+    assert np.all(path.post_states >= 0)
+    if path.n_events == 0:
+        return
+    assert path.times[0] > 0
+    prev = np.concatenate(([0], path.post_states[:-1]))
+    births = path.kinds == EventKind.BIRTH
+    cats = ~births
+    assert np.all(path.post_states[births & (prev > 0)] == prev[births & (prev > 0)] + 1)
+    assert np.all(path.post_states[prev == 0] == 1)
+    drop_ok = path.post_states[cats & (prev > 0)] < prev[cats & (prev > 0)]
+    assert np.all(drop_ok)
+
+
 @pytest.mark.parametrize("simulate", [simulate_subordinated, simulate_decomposed])
 def test_path_invariants(simulate):
     params = ModelParams(1.3, 0.8, 2.0)
     for i in range(500):
-        path = simulate(params, SimSpec(3.0, 29, i))
-        assert np.all(np.diff(path.times) > 0)
-        assert np.all(path.times <= 3.0)
-        assert np.all(path.post_states >= 0)
-        if path.n_events == 0:
-            continue
-        assert path.times[0] > 0
-        prev = np.concatenate(([0], path.post_states[:-1]))
-        births = path.kinds == EventKind.BIRTH
-        cats = ~births
-        assert np.all(path.post_states[births & (prev > 0)] == prev[births & (prev > 0)] + 1)
-        assert np.all(path.post_states[prev == 0] == 1)
-        drop_ok = path.post_states[cats & (prev > 0)] < prev[cats & (prev > 0)]
-        assert np.all(drop_ok)
+        _assert_path_invariants(simulate(params, SimSpec(3.0, 29, i)), 3.0)
+
+
+@pytest.mark.parametrize("kernel", [_subordinated_block, _decomposed_block])
+def test_block_rows_are_paths(kernel):
+    # every row of a full block obeys the event rules, and the block's
+    # terminal and sup are that row's last and largest states
+    params = ModelParams(1.3, 0.8, 2.0)
+    block = kernel(params, 3.0, replica_rng(29, 0), BLOCK)
+    for r in range(BLOCK):
+        path = block.path(r)
+        _assert_path_invariants(path, 3.0)
+        assert block.terminal[r] == (path.post_states[-1] if path.n_events else 0)
+        assert block.sup[r] == path.post_states.max(initial=0)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -204,6 +216,20 @@ def test_scale_path_single_birth_right_continuous():
     scaled = scale_path(path, 10.0, 2)
     assert np.allclose(scaled.grid, [0.0, 0.5, 1.0])
     assert np.allclose(scaled.values, [0.0, 0.1, 0.1])
+
+
+def test_grid_lookup_counts_an_event_on_a_grid_time():
+    # rows offset by r*(2T+1) before one searchsorted: an event exactly on a
+    # grid time still counts there, and one just after it does not
+    T = 10.0
+    grid = np.linspace(0.0, 1.0, 11) * T
+    times = np.full((BLOCK, 2), np.inf)
+    times[:, 0] = grid[3]
+    times[1::2, 0] = np.nextafter(grid[3], T)
+    rows = _grid_states(times, np.ones((BLOCK, 2), dtype=np.int64), grid, T)
+    assert np.all(rows[0::2, 3] == 1)
+    assert np.all(rows[1::2, 3] == 0)
+    assert np.all(rows[:, 4:] == 1) and np.all(rows[:, :3] == 0)
 
 
 def test_scale_path_terminal_consistency():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catpop import montecarlo
-from catpop.exact import exact_state_distribution, total_variation
-from catpop.model import ModelParams, PathSample, SimSpec, _decomposed_core, simulate_decomposed
+from catpop.exact import exact_state_distribution, exact_tail_probability, total_variation
+from catpop.model import ModelParams, PathSample, SimSpec, _decomposed_block, scale_path, simulate_decomposed
 from catpop.montecarlo import (
     EstimateResult,
     TiltConfig,
@@ -17,9 +19,10 @@ from catpop.montecarlo import (
     rate_curve_sweep,
     sample_terminal_states,
     sup_exceedance_fraction,
+    _block_bounds,
     _worker_count,
 )
-from catpop.streams import replica_rng
+from catpop.streams import BLOCK, derive_seed, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 EXACT_TAIL_111_T4_X05 = 0.364847004572957
@@ -38,15 +41,19 @@ def test_tilt_validation():
 
 def test_default_tilt_below_clock_rate():
     tilt = default_tilt(0.5, P111)
-    assert tilt == TiltConfig(0.5, 2.0, 0.05)
+    assert tilt == TiltConfig(0.5, 2.0, None)
     # tilted birth intensity on the climb window equals the clock rate
     assert P111.birth_rate * tilt.theta1 == P111.alpha
+    # the late window (2, 4] expects one catastrophe; the tilt leaves half of one
+    assert tilt.at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.5)
+    assert default_tilt(0.5, P111, theta2=0.05).at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.05)
 
 
 def test_default_tilt_above_clock_rate():
     tilt = default_tilt(2.0, P111)
-    assert tilt == TiltConfig(0.0, 4.0, 0.05)
+    assert tilt == TiltConfig(0.0, 4.0, None)
     assert P111.birth_rate * tilt.theta1 == 2.0
+    assert tilt.at_horizon(P111, 160.0).theta2 == 1.0 / 81.0
 
 
 def test_default_tilt_boundary_and_errors():
@@ -114,16 +121,36 @@ def test_event_at_switch_time_counts_as_early():
     assert likelihood_ratio(one_catastrophe_at(np.nextafter(2.0, 3.0)), tilt, P111, T) != early
 
 
+def _tilted_blocks(T, tilt, n, seed):
+    # the block kernel's own rows for replicas [0, n), one block per stream
+    tilt = tilt.at_horizon(P111, T)
+    return [
+        _decomposed_block(P111, T, replica_rng(seed, start // BLOCK), stop - start,
+                          tilt.switch_time_s, tilt.theta1, tilt.theta2)
+        for start, stop in _block_bounds(n)
+    ]
+
+
 def test_collected_weights_are_likelihood_ratios_of_their_replicas():
     # the estimators weight each replica by likelihood_ratio of the kernel's own path
-    T, seed = 40.0, 71
+    T, seed, n = 40.0, 71, 2_000
     tilt = default_tilt(0.5, P111)
-    samples = collect_weighted_paths(P111, T, 0.5, tilt, 2_000, seed)
-    for i, (_, weight, _) in enumerate(samples[:200]):
-        path = PathSample(*_decomposed_core(
-            P111, T, replica_rng(seed, i), tilt.switch_time_s, tilt.theta1, tilt.theta2
-        ))
-        assert weight == likelihood_ratio(path, tilt, P111, T)
+    samples = collect_weighted_paths(P111, T, 0.5, tilt, n, seed)
+    blocks = _tilted_blocks(T, tilt, n, seed)
+    for i in [*range(200), *range(BLOCK, BLOCK + 200)]:
+        path = blocks[i // BLOCK].path(i % BLOCK)
+        assert samples[i][1] == likelihood_ratio(path, tilt, P111, T)
+
+
+def test_collected_paths_are_scaled_paths_of_their_replicas():
+    # the block-wide grid lookup equals scale_path of each replica's own path
+    T, seed, n, grid_size = 40.0, 79, 1_500, 100
+    tilt = default_tilt(0.5, P111)
+    samples = collect_weighted_paths(P111, T, 0.5, tilt, n, seed, grid_size=grid_size)
+    blocks = _tilted_blocks(T, tilt, n, seed)
+    for i, (scaled, _, _) in enumerate(samples):
+        expected = scale_path(blocks[i // BLOCK].path(i % BLOCK), T, grid_size)
+        assert np.array_equal(scaled.values, expected.values)
 
 
 def test_naive_estimate_at_zero_level():
@@ -151,6 +178,28 @@ def test_is_estimate_matches_oracle():
     result = estimate_tail_is(P111, 4.0, 0.5, default_tilt(0.5, P111), 20_000, 17)
     assert abs(result.p_hat - EXACT_TAIL_111_T4_X05) <= 3 * result.std_err
     assert result.p_hat == pytest.approx(EXACT_TAIL_111_T4_X05, abs=0.02)
+
+
+def test_default_tilt_is_accurate_over_twenty_seeds():
+    # the horizon-matched catastrophe damping; theta2 = 0.05 misses 0.02 on
+    # 8 of these 20 seeds
+    tilt = default_tilt(0.5, P111)
+    for k in range(20):
+        result = estimate_tail_is(P111, 4.0, 0.5, tilt, 20_000, derive_seed(5, k))
+        assert abs(result.p_hat - EXACT_TAIL_111_T4_X05) <= 0.02
+
+
+@given(T=st.sampled_from([4.0, 10.0, 25.0]), k=st.integers(1, 7),
+       side=st.sampled_from([-math.inf, 0.0, math.inf]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_lattice_boundary_levels_agree_with_oracle(T, k, side):
+    # x = k/T and its float neighbours: the oracle and the naive estimator
+    # must count the same tail event
+    x = k / T if side == 0.0 else float(np.nextafter(k / T, side))
+    exact, _ = exact_tail_probability(P111, T, x, 200, 200)
+    assume(exact > 1e-3)
+    result = estimate_tail_naive(P111, T, x, 20_000, 101)
+    assert abs(result.p_hat - exact) <= 4 * result.std_err
 
 
 def test_identity_tilt_reduces_to_naive_exactly():
@@ -215,6 +264,48 @@ def test_workers_above_replica_count_run_in_process(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
     one = estimate_tail_naive(P111, 4.0, 0.5, 1, 73, workers=1)
     assert estimate_tail_naive(P111, 4.0, 0.5, 1, 73, workers=5) == one
+
+
+def test_block_bounds_are_multiples_of_the_block_size():
+    for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 10 * BLOCK):
+        bounds = _block_bounds(n)
+        assert len(bounds) == -(-n // BLOCK)
+        assert [start for start, _ in bounds] == [b * BLOCK for b in range(len(bounds))]
+        assert [stop for _, stop in bounds] == [min((b + 1) * BLOCK, n) for b in range(len(bounds))]
+
+
+def test_pool_never_larger_than_the_block_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    for n in (BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        sample_terminal_states(P111, 1.0, n, 83, workers=8)
+    assert sizes == [2, 3]
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_block_boundaries_are_worker_invariant(n):
+    tilt = default_tilt(0.5, P111)
+    for construction in ("subordinated", "decomposed"):
+        one = sample_terminal_states(P111, 4.0, n, 89, construction, workers=1)
+        two = sample_terminal_states(P111, 4.0, n, 89, construction, workers=2)
+        assert one.tobytes() == two.tobytes()
+    one = estimate_tail_is(P111, 4.0, 0.5, tilt, n, 97, workers=1)
+    assert estimate_tail_is(P111, 4.0, 0.5, tilt, n, 97, workers=2) == one
 
 
 def test_sample_terminal_states_matches_oracle_quickly():
