@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 import io
 import json
 import math
@@ -300,19 +300,6 @@ def _params_doc(params: ModelParams) -> dict:
     return {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
 
 
-def _estimate_doc(result) -> dict:
-    return {
-        "p_hat": result.p_hat,
-        "log_rate": result.log_rate,
-        "std_err": result.std_err,
-        "ci95": list(result.ci95),
-        "n": result.n,
-        "ess": result.ess,
-        "seed": result.seed,
-        "ess_warning": result.ess_warning,
-    }
-
-
 def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
     base = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig.identity()
     overrides = {}
@@ -376,6 +363,8 @@ def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
     if x_max <= 0:
         raise ConfigError("x must be > 0", key="x")
+    if cfg["grid"] < 1:
+        raise ConfigError(f"grid must be >= 1, got {cfg['grid']}", key="grid")
     points = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]
@@ -414,12 +403,8 @@ def _cmd_estimate(cfg: dict, params: ModelParams):
     else:
         tilt = _resolve_tilt(cfg, params)
         result = estimate_tail_is(params, cfg["T"], cfg["x"], tilt, cfg["n"], cfg["seed"], cfg["workers"])
-        doc["tilt"] = {
-            "switch_time_s": tilt.switch_time_s,
-            "theta1": tilt.theta1,
-            "theta2": tilt.theta2,
-        }
-    doc.update(_estimate_doc(result))
+        doc["tilt"] = asdict(tilt)
+    doc.update(asdict(result))
     row = (
         result.p_hat, result.log_rate, result.std_err,
         result.ci95[0], result.ci95[1], result.n, result.ess, result.ess_warning,
@@ -468,7 +453,7 @@ def _cmd_sweep(cfg: dict, params: ModelParams):
                 pt.T, pt.result.log_rate, lo, hi,
                 pt.result.p_hat, pt.result.std_err, pt.result.ess, None,
             ))
-            docs.append({"T": pt.T, "result": _estimate_doc(pt.result), "error": None})
+            docs.append({"T": pt.T, "result": asdict(pt.result), "error": None})
     doc = {
         "command": "sweep",
         "params": _params_doc(params),
@@ -500,7 +485,7 @@ def _cmd_paths(cfg: dict, params: ModelParams):
         "T": cfg["T"],
         "x": cfg["x"],
         "n": cfg["n"],
-        "tilt": {"switch_time_s": tilt.switch_time_s, "theta1": tilt.theta1, "theta2": tilt.theta2},
+        "tilt": asdict(tilt),
         "total_weight": mean.total_weight,
         "sup_distance": distance,
         "breakpoint": reference.breakpoint,

@@ -259,25 +259,21 @@ def simulate_decomposed(params: ModelParams, spec: SimSpec) -> PathSample:
     return _decomposed_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 
-def _grid_states(times: np.ndarray, post: np.ndarray, grid_times: np.ndarray, T: float) -> np.ndarray:
+def _grid_states(times: np.ndarray, post: np.ndarray, grid_times: np.ndarray) -> np.ndarray:
     """State of each row just after its last event at or before each grid time.
 
     Rows hold sorted event times (``+inf`` padding allowed) and the states
-    after them; grid times lie in [0, T].  One ``searchsorted`` serves every
-    row: row r's times, clipped at 2T, are offset by ``r*(2T+1)`` and the
-    rows flattened.  Rounding of the offset sums is monotone, so it can only
-    count an event just after a grid time as at or before it; such indices
-    are stepped back against the unrounded times.
+    after them; ``grid_times`` is sorted.  An event counts from the first
+    grid time at or after it, so one ``searchsorted`` over the block, a
+    ``bincount`` of those first grid indices per row and a cumulative sum
+    along the grid give each row's number of events at or before every grid
+    time, in integers.
     """
-    rows, width = times.shape
-    offset = np.arange(rows)[:, None] * (2.0 * T + 1.0)
-    keys = (np.minimum(times, 2.0 * T) + offset).ravel()
-    idx = np.searchsorted(keys, (grid_times + offset).ravel(), side="right").reshape(rows, -1)
-    idx -= np.arange(rows)[:, None] * width
+    rows, size = times.shape[0], grid_times.size
+    first = np.searchsorted(grid_times, times, side="left") + np.arange(rows)[:, None] * (size + 1)
+    arrivals = np.bincount(first.ravel(), minlength=rows * (size + 1)).reshape(rows, size + 1)
+    idx = np.cumsum(arrivals[:, :size], axis=1)
     # column 0 stands for "before the first event"
-    times = np.concatenate((np.full((rows, 1), -np.inf), times), axis=1)
-    while (late := np.take_along_axis(times, idx, axis=1) > grid_times).any():
-        idx -= late
     states = np.concatenate((np.zeros((rows, 1), dtype=post.dtype), post), axis=1)
     return np.take_along_axis(states, idx, axis=1)
 
@@ -291,7 +287,7 @@ def scale_path(path: PathSample, T: float, grid_size: int) -> ScaledPath:
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    values = _grid_states(path.times[None], path.post_states[None], grid * T, T)[0] / T
+    values = _grid_states(path.times[None], path.post_states[None], grid * T)[0] / T
     return ScaledPath(grid, values)
 
 

@@ -28,11 +28,11 @@ from .model import (
     EventKind,
     ModelParams,
     PathSample,
-    ScaledPath,
     _decomposed_block,
     _grid_states,
     _subordinated_block,
 )
+from .paths import WeightedPaths
 from .streams import BLOCK, check_seed, derive_seed, float_key, replica_rng
 
 _Z95 = 1.959963984540054
@@ -44,9 +44,10 @@ class TiltConfig:
 
     On the scaled window [switch_time_s, 1] the birth-stream intensity is
     multiplied by ``theta1`` and the catastrophe-stream intensity by
-    ``theta2``.  Multipliers must be positive: a zero intensity would give
-    unbounded likelihood ratios and break unbiasedness.  ``theta2=None``
-    matches the catastrophe damping to the horizon (see :meth:`at_horizon`).
+    ``theta2``.  Multipliers must be finite and positive: a zero intensity
+    would give unbounded likelihood ratios and break unbiasedness.
+    ``theta2=None`` matches the catastrophe damping to the horizon (see
+    :meth:`at_horizon`).
     """
 
     switch_time_s: float = 0.0
@@ -56,8 +57,10 @@ class TiltConfig:
     def __post_init__(self):
         if not 0.0 <= self.switch_time_s < 1.0:
             raise ValueError(f"switch_time_s must lie in [0, 1), got {self.switch_time_s}")
-        if self.theta1 <= 0 or (self.theta2 is not None and self.theta2 <= 0):
-            raise ValueError("tilt multipliers theta1, theta2 must be > 0")
+        theta2 = 1.0 if self.theta2 is None else self.theta2  # None is filled in per horizon
+        for name, theta in (("theta1", self.theta1), ("theta2", theta2)):
+            if not (math.isfinite(theta) and theta > 0):
+                raise ValueError(f"tilt multiplier {name} must be finite and > 0, got {theta}")
 
     def at_horizon(self, params: ModelParams, T: float) -> "TiltConfig":
         """This tilt with a horizon-matched ``theta2`` filled in.
@@ -159,7 +162,7 @@ def _run_block(args) -> dict:
     else:
         out["weights"] = _weight(*_late_counts(block.times, block.kinds, tilt, T), tilt, params, T)
     if grid is not None:
-        out["rows"] = _grid_states(block.times, block.post, grid, T)
+        out["rows"] = _grid_states(block.times, block.post, grid)
     return out
 
 
@@ -273,8 +276,8 @@ def sup_exceedance_fraction(
     workers: int = 1,
 ) -> EstimateResult:
     """Fraction of replicas whose scaled path ever exceeds eps."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     data = _run_replicas(params, T, None, "decomposed", seed, n, workers)
     hits = (data["sup"] / T > eps).astype(float)
     return _fold_estimate(hits, data["weights"], T, n, seed, weighted=False)
@@ -330,8 +333,8 @@ def collect_weighted_paths(
     seed: int,
     grid_size: int = 100,
     workers: int = 1,
-) -> list[tuple[ScaledPath, float, bool]]:
-    """Sample tilted replicas and return (scaled path, weight, qualifies) triples.
+) -> WeightedPaths:
+    """Sample tilted replicas and return their scaled paths, weights and event flags.
 
     The exact replica streams match :func:`estimate_tail_is` run with the
     same arguments, so collected samples reproduce its estimate.
@@ -340,13 +343,8 @@ def collect_weighted_paths(
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     data = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, grid=grid * T)
-    values = data["rows"] / T
     hits = data["terminal"] >= tail_level(x, T)
-    weights = data["weights"]
-    return [
-        (ScaledPath(grid, values[i]), float(weights[i]), bool(hits[i]))
-        for i in range(n)
-    ]
+    return WeightedPaths(grid, data["rows"] / T, data["weights"], hits)
 
 
 def sample_terminal_states(

@@ -246,6 +246,25 @@ def test_workers_below_one_rejected(tmp_path, capsys, workers):
     assert record["key"] == "workers"
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_rate_grid_below_one_rejected(tmp_path, capsys, grid):
+    rc, text = _run(tmp_path, "rate", "--grid", grid, "--x", "2")
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "grid"
+
+
+@pytest.mark.parametrize("flag, value", [("--tilt-theta1", "nan"), ("--tilt-theta2", "inf")])
+def test_non_finite_tilt_multiplier_rejected(tmp_path, capsys, flag, value):
+    rc, _ = _run(tmp_path, "estimate", "--T", "4", "--x", "0.5", "--method", "is", flag, value)
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert flag.removeprefix("--tilt-") in record["message"]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

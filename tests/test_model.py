@@ -219,17 +219,45 @@ def test_scale_path_single_birth_right_continuous():
 
 
 def test_grid_lookup_counts_an_event_on_a_grid_time():
-    # rows offset by r*(2T+1) before one searchsorted: an event exactly on a
-    # grid time still counts there, and one just after it does not
+    # the block-wide lookup is right-continuous: an event exactly on a grid
+    # time counts there, and one just after it does not
     T = 10.0
     grid = np.linspace(0.0, 1.0, 11) * T
     times = np.full((BLOCK, 2), np.inf)
     times[:, 0] = grid[3]
     times[1::2, 0] = np.nextafter(grid[3], T)
-    rows = _grid_states(times, np.ones((BLOCK, 2), dtype=np.int64), grid, T)
+    rows = _grid_states(times, np.ones((BLOCK, 2), dtype=np.int64), grid)
     assert np.all(rows[0::2, 3] == 1)
     assert np.all(rows[1::2, 3] == 0)
     assert np.all(rows[:, 4:] == 1) and np.all(rows[:, :3] == 0)
+
+
+def test_grid_lookup_matches_a_per_row_search():
+    # reference: each row's own searchsorted over its real events; rows mix
+    # events on grid times, their float neighbours, empty rows and padding
+    T, rows, width = 40.0, 300, 12
+    grid = np.linspace(0.0, 1.0, 21) * T
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, width + 1, size=rows)
+    counts[:20] = 0
+    on_grid = rng.choice(grid, size=(rows, width))
+    candidates = np.stack([
+        on_grid,
+        np.nextafter(on_grid, -np.inf),
+        np.nextafter(on_grid, np.inf),
+        rng.uniform(0.0, T, size=(rows, width)),
+    ])
+    times = np.take_along_axis(candidates, rng.integers(0, 4, size=(1, rows, width)), axis=0)[0]
+    times = np.sort(np.clip(times, np.nextafter(0.0, 1.0), T), axis=1)
+    times[np.arange(width) >= counts[:, None]] = np.inf
+    post = rng.integers(0, 50, size=(rows, width))
+    got = _grid_states(times, post, grid)
+    for r in range(rows):
+        n = counts[r]
+        idx = np.searchsorted(times[r, :n], grid, side="right")
+        expected = np.concatenate(([0], post[r, :n]))[idx]
+        assert np.array_equal(got[r], expected)
+    assert np.any(times == grid[5]) and np.any(times == np.nextafter(grid[5], T))
 
 
 def test_scale_path_terminal_consistency():

@@ -35,6 +35,11 @@ def test_tilt_validation():
         TiltConfig(theta1=0.0)
     with pytest.raises(ValueError):
         TiltConfig(theta2=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta1"):
+            TiltConfig(theta1=bad)
+        with pytest.raises(ValueError, match="theta2"):
+            TiltConfig(theta2=bad)
     identity = TiltConfig.identity()
     assert identity.switch_time_s == 0.0 and identity.theta1 == 1.0 and identity.theta2 == 1.0
 
@@ -139,7 +144,7 @@ def test_collected_weights_are_likelihood_ratios_of_their_replicas():
     blocks = _tilted_blocks(T, tilt, n, seed)
     for i in [*range(200), *range(BLOCK, BLOCK + 200)]:
         path = blocks[i // BLOCK].path(i % BLOCK)
-        assert samples[i][1] == likelihood_ratio(path, tilt, P111, T)
+        assert samples.weights[i] == likelihood_ratio(path, tilt, P111, T)
 
 
 def test_collected_paths_are_scaled_paths_of_their_replicas():
@@ -148,9 +153,9 @@ def test_collected_paths_are_scaled_paths_of_their_replicas():
     tilt = default_tilt(0.5, P111)
     samples = collect_weighted_paths(P111, T, 0.5, tilt, n, seed, grid_size=grid_size)
     blocks = _tilted_blocks(T, tilt, n, seed)
-    for i, (scaled, _, _) in enumerate(samples):
+    for i, values in enumerate(samples.values):
         expected = scale_path(blocks[i // BLOCK].path(i % BLOCK), T, grid_size)
-        assert np.array_equal(scaled.values, expected.values)
+        assert np.array_equal(values, expected.values)
 
 
 def test_naive_estimate_at_zero_level():
@@ -226,7 +231,7 @@ def test_ess_warning_on_mismatched_tilt():
 
 def test_weights_positive_and_finite():
     samples = collect_weighted_paths(P111, 20.0, 0.5, default_tilt(0.5, P111), 2_000, 29)
-    weights = np.array([w for _, w, _ in samples])
+    weights = samples.weights
     assert np.all(weights > 0)
     assert np.all(np.isfinite(weights))
 
@@ -322,8 +327,9 @@ def test_sup_fraction_basics():
     assert result.log_rate == math.inf
     small = sup_exceedance_fraction(P111, 4.0, eps=0.01, n=2_000, seed=41)
     assert 0.0 <= small.p_hat <= 1.0
-    with pytest.raises(ValueError):
-        sup_exceedance_fraction(P111, 4.0, eps=0.0, n=10, seed=1)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            sup_exceedance_fraction(P111, 4.0, eps=bad, n=10, seed=1)
 
 
 def test_sup_fraction_decays_with_horizon():
@@ -365,11 +371,11 @@ def test_collect_weighted_paths_consistent_with_estimator():
     tilt = default_tilt(0.5, P111)
     samples = collect_weighted_paths(P111, 8.0, 0.5, tilt, 4_000, 61, grid_size=20)
     direct = estimate_tail_is(P111, 8.0, 0.5, tilt, 4_000, 61)
-    recomputed = float(np.mean([w * q for _, w, q in samples]))
+    recomputed = float(np.mean(samples.weights * samples.qualifies))
     assert recomputed == pytest.approx(direct.p_hat, rel=1e-12)
     # terminal grid value agrees with the qualifying flag
-    for path, _, qualifies in samples[:200]:
-        assert (path.values[-1] >= 0.5) == qualifies
+    for values, qualifies in zip(samples.values[:200], samples.qualifies[:200]):
+        assert (values[-1] >= 0.5) == qualifies
 
 
 def test_estimate_result_fields():
