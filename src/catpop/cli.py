@@ -467,6 +467,8 @@ def _cmd_sweep(cfg: dict, params: ModelParams):
 
 
 def _cmd_paths(cfg: dict, params: ModelParams):
+    if not (math.isfinite(cfg["x"]) and cfg["x"] > 0):
+        raise ConfigError(f"deviation level x must be finite and > 0, got {cfg['x']}", key="x")
     tilt = _resolve_tilt(cfg, params)
     samples = collect_weighted_paths(
         params, cfg["T"], cfg["x"], tilt, cfg["n"], cfg["seed"], cfg["grid"], cfg["workers"]

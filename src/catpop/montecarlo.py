@@ -10,8 +10,12 @@ weight.
 
 Replicas are simulated in blocks of ``streams.BLOCK``: block ``b`` runs
 replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through one block kernel on the
-stream ``(seed, b)``.  Whole blocks are spread over the workers and merged in
-block order, so the final figures are identical for any worker count.
+stream ``(seed, b)``.  Whole blocks are spread over the workers, and each is
+folded in the worker that simulated it to a few sums: with h = w·1{event},
+Σh, Σh², Σw and Σw², plus Σh·row over the grid rows for conditioned paths.
+The block sums are added in block order, so the final figures are identical
+for any worker count and memory does not grow with the replica count; only
+:func:`sample_terminal_states` returns one value per replica.
 """
 
 from __future__ import annotations
@@ -147,23 +151,28 @@ def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T:
     return float(_weight(*counts, tilt, params, T)[0])
 
 
-def _run_block(args) -> dict:
-    """Simulate the block of replicas [start, stop) on its stream and summarise each replica."""
-    params, T, tilt, construction, seed, start, stop, grid = args
+def _fold_block(weights: np.ndarray, hits: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Σh, Σh², Σw and Σw² of a block, h = w·1{hit}, then Σh·row over its grid rows if given."""
+    h = np.where(hits, weights, 0.0)
+    # axis 0 is added one row after another, a fixed order a BLAS product would not keep
+    row_sum = [] if rows is None else np.sum(h[:, None] * rows, axis=0)
+    return np.concatenate(([h.sum(), (h * h).sum(), weights.sum(), (weights * weights).sum()], row_sum))
+
+
+def _run_block(args) -> np.ndarray:
+    """Simulate replicas [start, stop) on their block's stream; return its sums, or its terminal states."""
+    params, T, tilt, construction, seed, start, stop, event, grid = args
     rng = replica_rng(seed, start // BLOCK)
     if construction == "subordinated":
         block = _subordinated_block(params, T, rng, stop - start)
     else:
-        tilt_args = () if tilt is None else (tilt.switch_time_s, tilt.theta1, tilt.theta2)
-        block = _decomposed_block(params, T, rng, stop - start, *tilt_args)
-    out = {"terminal": block.terminal, "sup": block.sup}
-    if tilt is None:
-        out["weights"] = np.ones(stop - start)
-    else:
-        out["weights"] = _weight(*_late_counts(block.times, block.kinds, tilt, T), tilt, params, T)
-    if grid is not None:
-        out["rows"] = _grid_states(block.times, block.post, grid)
-    return out
+        block = _decomposed_block(params, T, rng, stop - start, tilt.switch_time_s, tilt.theta1, tilt.theta2)
+    if event is None:
+        return block.terminal
+    weights = _weight(*_late_counts(block.times, block.kinds, tilt, T), tilt, params, T)
+    rows = None if grid is None else _grid_states(block.times, block.post, grid)
+    statistic, level = event
+    return _fold_block(weights, getattr(block, statistic) >= level, rows)
 
 
 def _block_bounds(n: int) -> list[tuple[int, int]]:
@@ -178,24 +187,48 @@ def _worker_count(workers: int, blocks: int) -> int:
     return min(int(workers), os.cpu_count() or 1, blocks)
 
 
-def _run_replicas(params, T, tilt, construction, seed, n, workers, grid=None) -> dict:
-    """Run n replicas block by block, possibly across processes; merge in block order."""
+# numpy's Generator.poisson refuses larger means ("lam value too large")
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _check_poisson_means(params: ModelParams, T: float, tilt: TiltConfig, construction: str) -> None:
+    """Name the input that puts a stream's expected event count per replica beyond numpy's Poisson range."""
+    plain = [params.alpha] if construction == "subordinated" else [params.birth_rate, params.catastrophe_rate]
+    window = (1.0 - tilt.switch_time_s) * T
+    means = [(rate * T, "horizon T") for rate in plain] + [
+        (tilt.theta1 * params.birth_rate * window, "tilt multiplier theta1"),
+        (tilt.theta2 * params.catastrophe_rate * window, "tilt multiplier theta2"),
+    ]
+    for mean, cause in means:
+        if not mean <= _POISSON_MAX:
+            raise ValueError(
+                f"{cause} gives {mean:.3g} expected events per replica in one stream, "
+                f"beyond numpy's Poisson limit {_POISSON_MAX:.3g}"
+            )
+
+
+def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, grid=None) -> np.ndarray:
+    """Run n replicas block by block, possibly across processes; merge in block order.
+
+    ``tilt=None`` runs the plain process.  With ``event`` = (``_Block`` statistic, level) a replica
+    hits at that level and each block returns its sums; without one, its terminal states.
+    """
     check_seed(seed)
     if n < 1:
         raise ValueError(f"replica count n must be >= 1, got {n}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    if tilt is not None:
-        tilt = tilt.at_horizon(params, T)
+    tilt = (TiltConfig.identity() if tilt is None else tilt).at_horizon(params, T)
+    _check_poisson_means(params, T, tilt, construction)
     bounds = _block_bounds(n)
     workers = _worker_count(workers, len(bounds))
-    args = [(params, T, tilt, construction, seed, start, stop, grid) for start, stop in bounds]
+    args = [(params, T, tilt, construction, seed, start, stop, event, grid) for start, stop in bounds]
     if workers == 1:
         blocks = [_run_block(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, args))
-    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    return np.concatenate(blocks) if event is None else sum(blocks)  # sum adds in block order
 
 
 def _wilson_interval(p_hat: float, n: int) -> tuple[float, float]:
@@ -206,10 +239,12 @@ def _wilson_interval(p_hat: float, n: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _fold_estimate(weighted_hits, weights, T, n, seed, weighted: bool) -> EstimateResult:
-    p_hat = float(np.mean(weighted_hits))
-    ess = float(weights.sum()) ** 2 / float((weights * weights).sum())
-    var0 = max(0.0, float(np.mean(weighted_hits * weighted_hits)) - p_hat * p_hat)
+def _fold_estimate(sums, T, n, seed, weighted: bool) -> EstimateResult:
+    """The estimate from a run's sums Σh, Σh², Σw and Σw² (:func:`_fold_block`)."""
+    hits, hits2, weights, weights2 = map(float, sums[:4])
+    p_hat = hits / n
+    ess = weights**2 / weights2
+    var0 = max(0.0, hits2 / n - p_hat * p_hat)
     std_err = math.sqrt(var0 / ess)
     if weighted:
         ci = (p_hat - _Z95 * std_err, p_hat + _Z95 * std_err)
@@ -241,9 +276,8 @@ def estimate_tail_naive(
     Counts qualifying replicas of the two-stream construction; the 95%
     interval is a Wilson score interval.
     """
-    data = _run_replicas(params, T, None, "decomposed", seed, n, workers)
-    hits = (data["terminal"] >= tail_level(x, T)).astype(float)
-    return _fold_estimate(hits, data["weights"], T, n, seed, weighted=False)
+    sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
+    return _fold_estimate(sums, T, n, seed, weighted=False)
 
 
 def estimate_tail_is(
@@ -262,9 +296,8 @@ def estimate_tail_is(
     The standard error uses the ESS-deflated variance, a conservative choice
     for weighted means.
     """
-    data = _run_replicas(params, T, tilt, "decomposed", seed, n, workers)
-    hits = (data["terminal"] >= tail_level(x, T)).astype(float)
-    return _fold_estimate(hits * data["weights"], data["weights"], T, n, seed, weighted=True)
+    sums = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
+    return _fold_estimate(sums, T, n, seed, weighted=True)
 
 
 def sup_exceedance_fraction(
@@ -276,11 +309,12 @@ def sup_exceedance_fraction(
     workers: int = 1,
 ) -> EstimateResult:
     """Fraction of replicas whose scaled path ever exceeds eps."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    data = _run_replicas(params, T, None, "decomposed", seed, n, workers)
-    hits = (data["sup"] / T > eps).astype(float)
-    return _fold_estimate(hits, data["weights"], T, n, seed, weighted=False)
+    if not (math.isfinite(eps) and eps > 0 and math.isfinite(eps * T)):
+        raise ValueError(f"eps must be finite and > 0 with eps*T finite, got eps={eps}, T={T}")
+    # sup/T > eps is sup/T >= the next float above eps
+    level = tail_level(float(np.nextafter(eps, math.inf)), T)
+    sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("sup", level))
+    return _fold_estimate(sums, T, n, seed, weighted=False)
 
 
 @dataclass(frozen=True)
@@ -334,17 +368,17 @@ def collect_weighted_paths(
     grid_size: int = 100,
     workers: int = 1,
 ) -> WeightedPaths:
-    """Sample tilted replicas and return their scaled paths, weights and event flags.
+    """Sample tilted replicas and fold their weighted scaled paths on a grid of ``grid_size`` steps.
 
-    The exact replica streams match :func:`estimate_tail_is` run with the
-    same arguments, so collected samples reproduce its estimate.
+    The replica streams and the fold match :func:`estimate_tail_is` run with
+    the same arguments, so ``total_weight / n`` is its ``p_hat``.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    data = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, grid=grid * T)
-    hits = data["terminal"] >= tail_level(x, T)
-    return WeightedPaths(grid, data["rows"] / T, data["weights"], hits)
+    event = ("terminal", tail_level(x, T))
+    sums = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, event, grid * T)
+    return WeightedPaths(grid, sums[4:] / T, float(sums[0]))
 
 
 def sample_terminal_states(
@@ -358,5 +392,4 @@ def sample_terminal_states(
     """Terminal population levels of n independent replicas (for law checks)."""
     if construction not in ("subordinated", "decomposed"):
         raise ValueError(f"unknown construction {construction!r}")
-    data = _run_replicas(params, T, None, construction, seed, n, workers)
-    return data["terminal"]
+    return _run_replicas(params, T, None, construction, seed, n, workers)

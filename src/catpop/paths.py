@@ -2,8 +2,11 @@
 
 Conditioning on the rare event directly is hopeless at interesting sizes, so
 the conditional mean path is computed as an importance-weighted average over
-samples that satisfy the event.  Its distance to the predicted idle-then-climb
-trajectory is the headline shape check.
+samples that satisfy the event.  The Monte Carlo layer folds each block of
+replicas where it is simulated, so a run arrives here as one weighted row sum
+and its total weight (:class:`WeightedPaths`), whatever the replica count.
+Its distance to the predicted idle-then-climb trajectory is the headline shape
+check.
 """
 
 from __future__ import annotations
@@ -21,17 +24,16 @@ class NoQualifyingSamplesError(RuntimeError):
 
 @dataclass(eq=False)
 class WeightedPaths:
-    """Scaled paths of n replicas on one grid, with their weights and event flags.
+    """Scaled paths of a run folded on one grid.
 
-    Row i of ``values`` is replica i's path ``state(T*t)/T`` on ``grid``;
-    ``weights`` holds the replicas' likelihood ratios and ``qualifies``
-    marks the replicas that satisfy the conditioning event.
+    ``row_sum`` is the sum over replicas of w·1{event}·path, where ``path``
+    is a replica's scaled path ``state(T*t)/T`` on ``grid`` and ``w`` its
+    likelihood ratio; ``total_weight`` is the sum of w·1{event}.
     """
 
     grid: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    qualifies: np.ndarray
+    row_sum: np.ndarray
+    total_weight: float
 
 
 @dataclass(eq=False)
@@ -51,18 +53,11 @@ def conditioned_mean_path(samples: WeightedPaths, grid_size: int = 100) -> MeanP
     """
     if samples.grid.size != grid_size + 1:
         raise ValueError(f"sample grids have {samples.grid.size} points, expected {grid_size + 1}")
-    keep = samples.qualifies & (samples.weights > 0)
-    if not keep.any():
+    if not samples.total_weight > 0:
         raise NoQualifyingSamplesError(
             "no sample with positive weight satisfies the conditioning event"
         )
-    w = samples.weights[keep]
-    # Both sums run in replica order, as a loop of acc += w*v; total += w
-    # would: numpy reduces axis 0 row by row, and add.accumulate is
-    # sequential where np.sum(w) would sum pairwise and move the last bits.
-    acc = np.sum(samples.values[keep] * w[:, None], axis=0)
-    total = float(np.add.accumulate(w)[-1])
-    return MeanPath(grid=samples.grid, mean_values=acc / total, total_weight=total)
+    return MeanPath(samples.grid, samples.row_sum / samples.total_weight, samples.total_weight)
 
 
 def path_distance(mean_path: MeanPath, reference: OptimalPath) -> float:

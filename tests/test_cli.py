@@ -1,10 +1,13 @@
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import catpop
 from catpop.cli import main
 
 ESTIMATE_SCHEMA = {
@@ -201,6 +204,37 @@ def test_paths_statistical_failure(tmp_path, capsys):
     assert record["error"] == "statistical"
 
 
+@pytest.mark.parametrize("x", ["0", "-1"])
+def test_paths_rejects_nonpositive_level_before_simulating(tmp_path, capsys, monkeypatch, x):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths must reject the level before simulating")
+
+    monkeypatch.setattr("catpop.cli.collect_weighted_paths", no_simulation)
+    rc, text = _run(tmp_path, "paths", "--T", "20", "--x", x, "--n", "3000")
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "x"
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["estimate", "--T", "160", "--x", "0.5", "--method", "is", "--tilt-theta1", "1e300"],
+         "tilt multiplier theta1"),
+        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10"], "horizon T"),
+    ],
+)
+def test_poisson_mean_out_of_range_names_its_cause(tmp_path, capsys, argv, cause):
+    rc, _ = _run(tmp_path, *argv)
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert cause in record["message"]
+    assert "lam value too large" not in record["message"]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -317,9 +351,12 @@ def test_every_json_output_reparses_to_equal_value(tmp_path, argv):
 
 
 def test_console_entry_point_runs():
+    # the child imports the catpop under test, also when only pytest's pythonpath finds it
+    src = str(Path(catpop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "catpop.cli", "rate", "--grid", "3", "--x", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,rate_closed_form")

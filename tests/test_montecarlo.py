@@ -6,8 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catpop import montecarlo
-from catpop.exact import exact_state_distribution, exact_tail_probability, total_variation
-from catpop.model import ModelParams, PathSample, SimSpec, _decomposed_block, scale_path, simulate_decomposed
+from catpop.exact import exact_state_distribution, exact_tail_probability, tail_level, total_variation
+from catpop.model import (
+    ModelParams,
+    PathSample,
+    SimSpec,
+    _decomposed_block,
+    _grid_states,
+    scale_path,
+    simulate_decomposed,
+    terminal_value,
+)
 from catpop.montecarlo import (
     EstimateResult,
     TiltConfig,
@@ -136,26 +145,23 @@ def _tilted_blocks(T, tilt, n, seed):
     ]
 
 
-def test_collected_weights_are_likelihood_ratios_of_their_replicas():
-    # the estimators weight each replica by likelihood_ratio of the kernel's own path
-    T, seed, n = 40.0, 71, 2_000
-    tilt = default_tilt(0.5, P111)
-    samples = collect_weighted_paths(P111, T, 0.5, tilt, n, seed)
-    blocks = _tilted_blocks(T, tilt, n, seed)
-    for i in [*range(200), *range(BLOCK, BLOCK + 200)]:
-        path = blocks[i // BLOCK].path(i % BLOCK)
-        assert samples.weights[i] == likelihood_ratio(path, tilt, P111, T)
-
-
-def test_collected_paths_are_scaled_paths_of_their_replicas():
-    # the block-wide grid lookup equals scale_path of each replica's own path
-    T, seed, n, grid_size = 40.0, 79, 1_500, 100
-    tilt = default_tilt(0.5, P111)
-    samples = collect_weighted_paths(P111, T, 0.5, tilt, n, seed, grid_size=grid_size)
-    blocks = _tilted_blocks(T, tilt, n, seed)
-    for i, values in enumerate(samples.values):
-        expected = scale_path(blocks[i // BLOCK].path(i % BLOCK), T, grid_size)
-        assert np.array_equal(values, expected.values)
+def test_block_sums_fold_likelihood_ratios_and_scaled_paths():
+    # each block folds likelihood_ratio and scale_path of the kernel's own rows
+    T, seed, n, grid_size, x = 40.0, 71, 1_500, 100, 0.5
+    tilt = default_tilt(x, P111)
+    event = ("terminal", tail_level(x, T))
+    grid = np.linspace(0.0, 1.0, grid_size + 1) * T
+    for (start, stop), block in zip(_block_bounds(n), _tilted_blocks(T, tilt, n, seed)):
+        paths = [block.path(r) for r in range(stop - start)]
+        w = np.array([likelihood_ratio(path, tilt, P111, T) for path in paths])
+        h = w * np.array([terminal_value(path, T) >= x for path in paths])
+        rows = np.array([scale_path(path, T, grid_size).values for path in paths])
+        args = (P111, T, tilt.at_horizon(P111, T), "decomposed", seed, start, stop, event, grid)
+        sums = montecarlo._run_block(args)
+        expected = [h.sum(), (h * h).sum(), w.sum(), (w * w).sum()]
+        np.testing.assert_allclose(sums[:4], expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sums[4:] / T, h @ rows, rtol=1e-12, atol=0)
+        assert h.sum() > 0
 
 
 def test_naive_estimate_at_zero_level():
@@ -230,10 +236,12 @@ def test_ess_warning_on_mismatched_tilt():
 
 
 def test_weights_positive_and_finite():
-    samples = collect_weighted_paths(P111, 20.0, 0.5, default_tilt(0.5, P111), 2_000, 29)
-    weights = samples.weights
-    assert np.all(weights > 0)
-    assert np.all(np.isfinite(weights))
+    # the blocks fold these likelihood ratios (test above)
+    T, tilt = 20.0, default_tilt(0.5, P111)
+    for block in _tilted_blocks(T, tilt, 2_000, 29):
+        weights = np.array([likelihood_ratio(block.path(r), tilt, P111, T) for r in range(block.terminal.size)])
+        assert np.all(weights > 0)
+        assert np.all(np.isfinite(weights))
 
 
 def test_reproducibility_and_worker_invariance():
@@ -311,6 +319,10 @@ def test_block_boundaries_are_worker_invariant(n):
         assert one.tobytes() == two.tobytes()
     one = estimate_tail_is(P111, 4.0, 0.5, tilt, n, 97, workers=1)
     assert estimate_tail_is(P111, 4.0, 0.5, tilt, n, 97, workers=2) == one
+    one = collect_weighted_paths(P111, 4.0, 0.5, tilt, n, 97, grid_size=20, workers=1)
+    two = collect_weighted_paths(P111, 4.0, 0.5, tilt, n, 97, grid_size=20, workers=2)
+    assert one.total_weight == two.total_weight
+    assert one.row_sum.tobytes() == two.row_sum.tobytes()
 
 
 def test_sample_terminal_states_matches_oracle_quickly():
@@ -327,9 +339,16 @@ def test_sup_fraction_basics():
     assert result.log_rate == math.inf
     small = sup_exceedance_fraction(P111, 4.0, eps=0.01, n=2_000, seed=41)
     assert 0.0 <= small.p_hat <= 1.0
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError):
+    for bad in (0.0, math.nan, 1e308):
+        with pytest.raises(ValueError, match="eps"):
             sup_exceedance_fraction(P111, 4.0, eps=bad, n=10, seed=1)
+
+
+def test_sup_fraction_event_is_strict():
+    # sup/T > eps: a path whose sup is exactly eps*T = 2 does not count
+    at = sup_exceedance_fraction(P111, 4.0, 0.5, 2_000, 47).p_hat
+    assert at == sup_exceedance_fraction(P111, 4.0, float(np.nextafter(0.5, 1.0)), 2_000, 47).p_hat
+    assert at < sup_exceedance_fraction(P111, 4.0, float(np.nextafter(0.5, 0.0)), 2_000, 47).p_hat
 
 
 def test_sup_fraction_decays_with_horizon():
@@ -371,11 +390,12 @@ def test_collect_weighted_paths_consistent_with_estimator():
     tilt = default_tilt(0.5, P111)
     samples = collect_weighted_paths(P111, 8.0, 0.5, tilt, 4_000, 61, grid_size=20)
     direct = estimate_tail_is(P111, 8.0, 0.5, tilt, 4_000, 61)
-    recomputed = float(np.mean(samples.weights * samples.qualifies))
-    assert recomputed == pytest.approx(direct.p_hat, rel=1e-12)
-    # terminal grid value agrees with the qualifying flag
-    for values, qualifies in zip(samples.values[:200], samples.qualifies[:200]):
-        assert (values[-1] >= 0.5) == qualifies
+    # one fold for both: the same sum of w*1{hit}, bit for bit
+    assert samples.total_weight / 4_000 == direct.p_hat
+    # the terminal grid value is the terminal state the event is tested on
+    for block in _tilted_blocks(8.0, tilt, 4_000, 61):
+        rows = _grid_states(block.times, block.post, np.linspace(0.0, 8.0, 21))
+        assert np.array_equal(rows[:, -1], block.terminal)
 
 
 def test_estimate_result_fields():

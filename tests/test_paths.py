@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from catpop.exact import tail_level
 from catpop.model import ModelParams, optimal_path
-from catpop.montecarlo import collect_weighted_paths, default_tilt
+from catpop.montecarlo import _block_bounds, _fold_block, _run_block, collect_weighted_paths, default_tilt
 from catpop.paths import (
     MeanPath,
     NoQualifyingSamplesError,
@@ -10,6 +13,7 @@ from catpop.paths import (
     conditioned_mean_path,
     path_distance,
 )
+from catpop.streams import BLOCK
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 
@@ -19,10 +23,10 @@ def _sample(values, weight=1.0, qualifies=True):
 
 
 def _record(samples, grid_size=4):
-    # (values, weight, qualifies) samples as one record, in order
-    values, weights, qualifies = zip(*samples)
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    return WeightedPaths(grid, np.array(values), np.array(weights), np.array(qualifies))
+    # (values, weight, qualifies) samples folded as one block, in order
+    values, weights, qualifies = map(np.array, zip(*samples))
+    sums = _fold_block(weights, qualifies, values)
+    return WeightedPaths(np.linspace(0.0, 1.0, grid_size + 1), sums[4:], float(sums[0]))
 
 
 def test_single_qualifying_sample_is_returned_as_is():
@@ -58,19 +62,44 @@ def test_no_qualifying_samples_raises():
 
 
 def test_mean_path_equals_the_sequential_fold_bit_for_bit():
-    # the vectorised fold sums in replica order, like the loop it replaced
+    # a run's sums are its block sums added one block after another
+    x, T, n, seed = 0.5, 160.0, 3_000, 83
+    tilt = default_tilt(x, P111)
+    event = ("terminal", tail_level(x, T))
+    grid = np.linspace(0.0, 1.0, 101) * T
+    acc = np.zeros(grid.size + 4)
+    for start, stop in _block_bounds(n):
+        acc += _run_block((P111, T, tilt.at_horizon(P111, T), "decomposed", seed, start, stop, event, grid))
+    assert acc[0] > 0
+    for workers in (1, 2):
+        samples = collect_weighted_paths(P111, T, x, tilt, n, seed, workers=workers)
+        mean = conditioned_mean_path(samples, grid_size=100)
+        assert mean.total_weight == acc[0]
+        assert np.array_equal(mean.mean_values, acc[4:] / T / acc[0])
+    # within a block the weighted rows are added one after another as well
+    rng = np.random.default_rng(5)
+    weights, hits = np.exp(rng.normal(0.0, 20.0, BLOCK)), rng.random(BLOCK) < 0.5
+    rows = rng.integers(0, 400, (BLOCK, 101))
+    loop = np.zeros(101)
+    for weight, hit, row in zip(weights, hits, rows):
+        loop += (weight if hit else 0.0) * row
+    assert np.array_equal(_fold_block(weights, hits, rows)[4:], loop)
+
+
+def _collect_and_mean_peak_bytes(n):
     x = 0.5
-    samples = collect_weighted_paths(P111, 160.0, x, default_tilt(x, P111), 3_000, 83)
-    acc = np.zeros(samples.grid.size)
-    total = 0.0
-    for values, weight, qualifies in zip(samples.values, samples.weights, samples.qualifies):
-        if qualifies and weight > 0:
-            acc += float(weight) * values
-            total += float(weight)
-    assert total > 0
-    mean = conditioned_mean_path(samples, grid_size=100)
-    assert mean.total_weight == total
-    assert np.array_equal(mean.mean_values, acc / total)
+    tracemalloc.start()
+    try:
+        samples = collect_weighted_paths(P111, 40.0, x, default_tilt(x, P111), n, 89, grid_size=100)
+        conditioned_mean_path(samples, grid_size=100)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collect_and_mean_memory_does_not_grow_with_n():
+    # blocks are folded where they are simulated: no per-replica row is kept
+    assert _collect_and_mean_peak_bytes(20 * BLOCK) < 2 * _collect_and_mean_peak_bytes(2 * BLOCK)
 
 
 def test_path_distance_identity_offset_symmetry():
