@@ -145,23 +145,52 @@ def _tilted_blocks(T, tilt, n, seed):
     ]
 
 
-def test_block_sums_fold_likelihood_ratios_and_scaled_paths():
-    # each block folds likelihood_ratio and scale_path of the kernel's own rows
-    T, seed, n, grid_size, x = 40.0, 71, 1_500, 100, 0.5
+def _replica_weights_and_hits(block, tilt, T, x):
+    # likelihood_ratio and the terminal event of each of the block's own rows, one path at a time
+    paths = [block.path(r) for r in range(block.terminal.size)]
+    w = np.array([likelihood_ratio(path, tilt, P111, T) for path in paths])
+    hits = np.array([terminal_value(path, T) >= x for path in paths])
+    return paths, w, hits
+
+
+def test_collected_weights_are_likelihood_ratios_of_their_replicas():
+    # the estimators weight each replica by likelihood_ratio of the kernel's own path,
+    # and each block folds those weights where it is simulated
+    T, seed, n, x = 40.0, 71, 2_000, 0.5
     tilt = default_tilt(x, P111)
+    at_T = tilt.at_horizon(P111, T)
     event = ("terminal", tail_level(x, T))
-    grid = np.linspace(0.0, 1.0, grid_size + 1) * T
+    total = 0.0
     for (start, stop), block in zip(_block_bounds(n), _tilted_blocks(T, tilt, n, seed)):
-        paths = [block.path(r) for r in range(stop - start)]
-        w = np.array([likelihood_ratio(path, tilt, P111, T) for path in paths])
-        h = w * np.array([terminal_value(path, T) >= x for path in paths])
-        rows = np.array([scale_path(path, T, grid_size).values for path in paths])
-        args = (P111, T, tilt.at_horizon(P111, T), "decomposed", seed, start, stop, event, grid)
-        sums = montecarlo._run_block(args)
+        _, w, hits = _replica_weights_and_hits(block, tilt, T, x)
+        block_weights = montecarlo._weight(*montecarlo._late_counts(block.times, block.kinds, at_T, T), at_T, P111, T)
+        assert np.array_equal(block_weights, w)
+        sums = montecarlo._run_block((P111, T, at_T, "decomposed", seed, start, stop, event, None))
+        h = np.where(hits, w, 0.0)
         expected = [h.sum(), (h * h).sum(), w.sum(), (w * w).sum()]
-        np.testing.assert_allclose(sums[:4], expected, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(sums[4:] / T, h @ rows, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=0)
         assert h.sum() > 0
+        total += h.sum()
+    samples = collect_weighted_paths(P111, T, x, tilt, n, seed)
+    assert samples.total_weight == pytest.approx(total, rel=1e-12)
+
+
+def test_collected_paths_are_scaled_paths_of_their_replicas():
+    # the block-wide grid lookup equals scale_path of each replica's own path,
+    # and the collected row sum folds those rows with the replicas' weights
+    T, seed, n, grid_size, x = 40.0, 79, 1_500, 100, 0.5
+    tilt = default_tilt(x, P111)
+    grid = np.linspace(0.0, 1.0, grid_size + 1) * T
+    row_sum = np.zeros(grid_size + 1)
+    for block in _tilted_blocks(T, tilt, n, seed):
+        paths, w, hits = _replica_weights_and_hits(block, tilt, T, x)
+        rows = _grid_states(block.times, block.post, grid) / T
+        for values, path in zip(rows, paths):
+            assert np.array_equal(values, scale_path(path, T, grid_size).values)
+        row_sum += np.where(hits, w, 0.0) @ rows
+    samples = collect_weighted_paths(P111, T, x, tilt, n, seed, grid_size=grid_size)
+    assert np.any(row_sum > 0)
+    np.testing.assert_allclose(samples.row_sum, row_sum, rtol=1e-12, atol=0)
 
 
 def test_naive_estimate_at_zero_level():
