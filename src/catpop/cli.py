@@ -41,7 +41,7 @@ from .montecarlo import (
     estimate_tail_is,
     estimate_tail_naive,
     rate_curve_sweep,
-    sup_exceedance_fraction,
+    sup_fraction_sweep,
 )
 from .paths import NoQualifyingSamplesError, conditioned_mean_path, path_distance
 from .rates import (
@@ -49,7 +49,6 @@ from .rates import (
     terminal_rate,
     terminal_rate_variational,
 )
-from .streams import derive_seed, float_key
 
 
 class ConfigError(Exception):
@@ -413,57 +412,44 @@ def _cmd_estimate(cfg: dict, params: ModelParams):
     return doc, header, [row]
 
 
+def _sweep_output(doc: dict, points, columns: list[str], values):
+    doc["points"] = [asdict(pt) for pt in points]
+    blank = [None] * len(columns)
+    rows = [(pt.T, *(values(pt.result, pt.T) if pt.result else blank), pt.error) for pt in points]
+    return doc, ["T", *columns, "error"], rows
+
+
 def _cmd_lln(cfg: dict, params: ModelParams):
-    rows = []
-    points = []
-    for T in cfg["T_list"]:
-        sub_seed = derive_seed(cfg["seed"], float_key(T))
-        result = sup_exceedance_fraction(params, T, cfg["eps"], cfg["n"], sub_seed, cfg["workers"])
-        rows.append((T, result.p_hat, result.ci95[0], result.ci95[1], result.n))
-        points.append({"T": T, "fraction": result.p_hat, "ci95": list(result.ci95), "n": result.n})
+    points = sup_fraction_sweep(params, cfg["eps"], cfg["T_list"], cfg["n"], cfg["seed"], cfg["workers"])
     doc = {
         "command": "lln",
         "params": _params_doc(params),
         "eps": cfg["eps"],
-        "points": points,
     }
-    return doc, ["T", "fraction", "ci_lo", "ci_hi", "n"], rows
+    columns = ["fraction", "ci_lo", "ci_hi", "n"]
+    return _sweep_output(doc, points, columns, lambda r, T: (r.p_hat, *r.ci95, r.n))
 
 
-def _log_rate_interval(result, T: float) -> tuple[float, float]:
+def _log_rate_values(result, T: float) -> tuple:
     lo_p, hi_p = result.ci95
     lo = -math.log(hi_p) / T if hi_p > 0 else math.inf
     hi = -math.log(lo_p) / T if lo_p > 0 else math.inf
-    return lo, hi
+    return result.log_rate, lo, hi, result.p_hat, result.std_err, result.ess
 
 
 def _cmd_sweep(cfg: dict, params: ModelParams):
     points = rate_curve_sweep(
-        params, cfg["x"], list(cfg["T_list"]), cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
+        params, cfg["x"], cfg["T_list"], cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
     )
-    rows = []
-    docs = []
-    for pt in points:
-        if pt.result is None:
-            rows.append((pt.T, None, None, None, None, None, None, pt.error))
-            docs.append({"T": pt.T, "result": None, "error": pt.error})
-        else:
-            lo, hi = _log_rate_interval(pt.result, pt.T)
-            rows.append((
-                pt.T, pt.result.log_rate, lo, hi,
-                pt.result.p_hat, pt.result.std_err, pt.result.ess, None,
-            ))
-            docs.append({"T": pt.T, "result": asdict(pt.result), "error": None})
     doc = {
         "command": "sweep",
         "params": _params_doc(params),
         "x": cfg["x"],
         "method": cfg["method"],
         "n": cfg["n"],
-        "points": docs,
     }
-    header = ["T", "log_rate", "log_rate_lo", "log_rate_hi", "p_hat", "std_err", "ess", "error"]
-    return doc, header, rows
+    columns = ["log_rate", "log_rate_lo", "log_rate_hi", "p_hat", "std_err", "ess"]
+    return _sweep_output(doc, points, columns, _log_rate_values)
 
 
 def _cmd_paths(cfg: dict, params: ModelParams):

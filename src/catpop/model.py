@@ -155,6 +155,27 @@ class _Block:
         return PathSample(self.times[row, :n], self.kinds[row, :n], self.post[row, :n])
 
 
+# numpy's Generator.poisson refuses larger means ("lam value too large")
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _check_poisson_means(params: ModelParams, T: float, switch_time_s=0.0, theta1=1.0, theta2=1.0) -> None:
+    """Name the input that puts a stream's expected event count per replica beyond numpy's Poisson range."""
+    # the clock's alpha*T bounds every untilted stream of both constructions
+    window = (1.0 - switch_time_s) * T
+    means = [
+        (params.alpha * T, "horizon T"),
+        (theta1 * params.birth_rate * window, "tilt multiplier theta1"),
+        (theta2 * params.catastrophe_rate * window, "tilt multiplier theta2"),
+    ]
+    for mean, cause in means:
+        if not mean <= _POISSON_MAX:
+            raise ValueError(
+                f"{cause} gives {mean:.3g} expected events per replica in one stream, "
+                f"beyond numpy's Poisson limit {_POISSON_MAX:.3g}"
+            )
+
+
 def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, length: float) -> np.ndarray:
     """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r."""
     live = np.arange(counts.max(initial=0)) < counts[:, None]
@@ -251,11 +272,13 @@ def _decomposed_block(
 
 def simulate_subordinated(params: ModelParams, spec: SimSpec) -> PathSample:
     """Simulate one replica as the jump chain subordinated to a Poisson clock."""
+    _check_poisson_means(params, spec.horizon_T)
     return _subordinated_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 
 def simulate_decomposed(params: ModelParams, spec: SimSpec) -> PathSample:
     """Simulate one replica from two independent birth/catastrophe streams."""
+    _check_poisson_means(params, spec.horizon_T)
     return _decomposed_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 

@@ -32,6 +32,7 @@ from .model import (
     EventKind,
     ModelParams,
     PathSample,
+    _check_poisson_means,
     _decomposed_block,
     _grid_states,
     _subordinated_block,
@@ -103,21 +104,20 @@ class EstimateResult:
     ess_warning: bool = False
 
 
-def default_tilt(x: float, params: ModelParams, theta2: float | None = None) -> TiltConfig:
+def default_tilt(x: float, params: ModelParams) -> TiltConfig:
     """Tilt that drives the process along the most probable path to level x.
 
     Below the clock rate the birth stream is boosted to total intensity
     ``alpha`` on the climb window; at or above it the whole horizon is tilted
-    so births arrive at intensity ``x``.  The catastrophe stream is damped by
-    ``theta2`` (kept positive so weights stay finite); by default it is
+    so births arrive at intensity ``x``.  The catastrophe stream damping is
     matched to the horizon of each run (:meth:`TiltConfig.at_horizon`).
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"deviation level x must be finite and > 0, got {x}")
     lam, mu, alpha = params.lam, params.mu, params.alpha
     if x < alpha:
-        return TiltConfig(1.0 - x / alpha, (lam + mu) / lam, theta2)
-    return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), theta2)
+        return TiltConfig(1.0 - x / alpha, (lam + mu) / lam, None)
+    return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), None)
 
 
 def _late_counts(times: np.ndarray, kinds: np.ndarray, tilt: TiltConfig, T: float):
@@ -181,30 +181,17 @@ def _block_bounds(n: int) -> list[tuple[int, int]]:
 
 
 def _worker_count(workers: int, blocks: int) -> int:
-    """Worker processes to start: ``workers``, capped at the CPU count and at the block count."""
+    """Worker processes to start: ``workers``, capped at the CPU count and at the block count (both >= 1)."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if blocks < 1:
+        raise ValueError("replica count n must be >= 1")
     return min(int(workers), os.cpu_count() or 1, blocks)
 
 
-# numpy's Generator.poisson refuses larger means ("lam value too large")
-_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
-
-
-def _check_poisson_means(params: ModelParams, T: float, tilt: TiltConfig, construction: str) -> None:
-    """Name the input that puts a stream's expected event count per replica beyond numpy's Poisson range."""
-    plain = [params.alpha] if construction == "subordinated" else [params.birth_rate, params.catastrophe_rate]
-    window = (1.0 - tilt.switch_time_s) * T
-    means = [(rate * T, "horizon T") for rate in plain] + [
-        (tilt.theta1 * params.birth_rate * window, "tilt multiplier theta1"),
-        (tilt.theta2 * params.catastrophe_rate * window, "tilt multiplier theta2"),
-    ]
-    for mean, cause in means:
-        if not mean <= _POISSON_MAX:
-            raise ValueError(
-                f"{cause} gives {mean:.3g} expected events per replica in one stream, "
-                f"beyond numpy's Poisson limit {_POISSON_MAX:.3g}"
-            )
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
 def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, grid=None) -> np.ndarray:
@@ -214,12 +201,10 @@ def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, g
     hits at that level and each block returns its sums; without one, its terminal states.
     """
     check_seed(seed)
-    if n < 1:
-        raise ValueError(f"replica count n must be >= 1, got {n}")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
     tilt = (TiltConfig.identity() if tilt is None else tilt).at_horizon(params, T)
-    _check_poisson_means(params, T, tilt, construction)
+    _check_poisson_means(params, T, tilt.switch_time_s, tilt.theta1, tilt.theta2)
     bounds = _block_bounds(n)
     workers = _worker_count(workers, len(bounds))
     args = [(params, T, tilt, construction, seed, start, stop, event, grid) for start, stop in bounds]
@@ -309,9 +294,10 @@ def sup_exceedance_fraction(
     workers: int = 1,
 ) -> EstimateResult:
     """Fraction of replicas whose scaled path ever exceeds eps."""
-    if not (math.isfinite(eps) and eps > 0 and math.isfinite(eps * T)):
+    _check_eps(eps)
+    if math.isfinite(T) and not math.isfinite(eps * T):
         raise ValueError(f"eps must be finite and > 0 with eps*T finite, got eps={eps}, T={T}")
-    # sup/T > eps is sup/T >= the next float above eps
+    # sup/T > eps is sup/T >= the next float above eps; tail_level rejects a bad T
     level = tail_level(float(np.nextafter(eps, math.inf)), T)
     sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("sup", level))
     return _fold_estimate(sums, T, n, seed, weighted=False)
@@ -319,11 +305,21 @@ def sup_exceedance_fraction(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One horizon of a rate-curve sweep; ``error`` is set when that T failed."""
+    """One horizon of a sweep over T: its estimate, or ``result=None`` and the ``error`` it raised."""
 
     T: float
     result: EstimateResult | None
     error: str | None = None
+
+
+def _sweep(T_list, seed: int, estimate):
+    """Yield ``estimate(T, sub_seed)`` per T, sub-seeded from ``(seed, T)``; an error fails only its T."""
+    for T in T_list:
+        sub_seed = derive_seed(seed, float_key(T))
+        try:
+            yield SweepPoint(T, estimate(T, sub_seed))
+        except Exception as exc:  # noqa: BLE001 - per-horizon isolation is the contract
+            yield SweepPoint(T, None, f"{type(exc).__name__}: {exc}")
 
 
 def rate_curve_sweep(
@@ -339,23 +335,27 @@ def rate_curve_sweep(
 
     Every horizon runs on its own seed derived from ``(seed, T)``, so the
     output does not depend on the order of T_list.  Failures of a single
-    horizon are recorded and do not abort the sweep.
+    horizon are recorded and do not abort the sweep; inputs that do not
+    depend on T raise before the first horizon.
     """
-    if method not in ("naive", "is"):
-        raise ValueError(f"method must be 'naive' or 'is', got {method!r}")
     _worker_count(workers, n)
-    points: list[SweepPoint] = []
-    for T in T_list:
-        sub_seed = derive_seed(seed, float_key(T))
-        try:
-            if method == "naive":
-                result = estimate_tail_naive(params, T, x, n, sub_seed, workers)
-            else:
-                result = estimate_tail_is(params, T, x, default_tilt(x, params), n, sub_seed, workers)
-            points.append(SweepPoint(T=T, result=result))
-        except Exception as exc:  # noqa: BLE001 - per-horizon isolation is the contract
-            points.append(SweepPoint(T=T, result=None, error=f"{type(exc).__name__}: {exc}"))
-    return points
+    if method == "naive":
+        if not math.isfinite(x):
+            raise ValueError(f"deviation level x must be finite, got {x}")
+        return list(_sweep(T_list, seed, lambda T, s: estimate_tail_naive(params, T, x, n, s, workers)))
+    if method == "is":
+        tilt = default_tilt(x, params)
+        return list(_sweep(T_list, seed, lambda T, s: estimate_tail_is(params, T, x, tilt, n, s, workers)))
+    raise ValueError(f"method must be 'naive' or 'is', got {method!r}")
+
+
+def sup_fraction_sweep(
+    params: ModelParams, eps: float, T_list: list[float], n: int, seed: int, workers: int = 1
+) -> list[SweepPoint]:
+    """:func:`sup_exceedance_fraction` at each horizon, seeded and isolated as in :func:`rate_curve_sweep`."""
+    _worker_count(workers, n)
+    _check_eps(eps)
+    return list(_sweep(T_list, seed, lambda T, s: sup_exceedance_fraction(params, T, eps, n, s, workers)))
 
 
 def collect_weighted_paths(

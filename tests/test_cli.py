@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import catpop
+from catpop import montecarlo
 from catpop.cli import main
 
 ESTIMATE_SCHEMA = {
@@ -150,32 +151,49 @@ def test_lln_csv(tmp_path):
     rc, text = _run(tmp_path, "lln", "--T-list", "4,8", "--eps", "0.5", "--n", "400")
     assert rc == 0
     lines = text.splitlines()
-    assert lines[0] == "T,fraction,ci_lo,ci_hi,n"
+    assert lines[0] == "T,fraction,ci_lo,ci_hi,n,error"
     assert len(lines) == 3
     for line in lines[1:]:
         fields = line.split(",")
         assert 0.0 <= float(fields[1]) <= 1.0
 
 
-def test_sweep_csv_with_failure_row(tmp_path):
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["lln", "--eps", "0.5", "--n", "500"], ["T", "fraction", "ci_lo", "ci_hi", "n", "error"]),
+        (["sweep", "--x", "0.5", "--n", "500", "--method", "naive"],
+         ["T", "log_rate", "log_rate_lo", "log_rate_hi", "p_hat", "std_err", "ess", "error"]),
+    ],
+    ids=["lln", "sweep"],
+)
+def test_sweep_csv_with_failure_row(tmp_path, argv, header):
     import csv
     import io
 
-    rc, text = _run(
-        tmp_path, "sweep", "--T-list", "4,-1", "--x", "0.5", "--n", "500",
-        "--method", "naive",
-    )
-    assert rc == 0
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["T", "log_rate", "log_rate_lo", "log_rate_hi", "p_hat", "std_err", "ess", "error"]
-    assert rows[1][-1] == ""
-    assert rows[2][0] == "-1" and "ValueError" in rows[2][-1]
-    assert all(cell == "" for cell in rows[2][1:-1])
+    _, good = _run(tmp_path, *argv, "--T-list", "4")
+    for bad in ("-1", "nan", "inf"):
+        rc, text = _run(tmp_path, *argv, "--T-list", f"4,{bad}")
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == header
+        # the good horizon's row is the one it has on its own
+        assert text.splitlines()[1] == good.splitlines()[1]
+        assert rows[1][-1] == ""
+        assert rows[2][0] == bad
+        assert len(rows[2]) == len(header)
+        assert rows[2][-1].startswith("ValueError: horizon T must be finite and > 0")
+        assert all(cell == "" for cell in rows[2][1:-1])
 
 
-def test_sweep_order_independence(tmp_path):
-    _, forward = _run(tmp_path, "sweep", "--T-list", "4,8", "--x", "0.5", "--n", "500")
-    _, backward = _run(tmp_path, "sweep", "--T-list", "8,4", "--x", "0.5", "--n", "500")
+@pytest.mark.parametrize(
+    "argv",
+    [["lln", "--eps", "0.5", "--n", "500"], ["sweep", "--x", "0.5", "--n", "500"]],
+    ids=["lln", "sweep"],
+)
+def test_sweep_order_independence(tmp_path, argv):
+    _, forward = _run(tmp_path, *argv, "--T-list", "4,8")
+    _, backward = _run(tmp_path, *argv, "--T-list", "8,4")
     f_lines = forward.splitlines()
     b_lines = backward.splitlines()
     assert f_lines[1] == b_lines[2]
@@ -219,11 +237,34 @@ def test_paths_rejects_nonpositive_level_before_simulating(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--T-list", "4,8", "--x", "0.5", "--n", "0"],
+        ["sweep", "--T-list", "4,8", "--x", "-1"],
+        ["sweep", "--T-list", "4,8", "--x", "nan", "--method", "naive"],
+        ["lln", "--T-list", "4,8", "--eps", "-1"],
+        ["lln", "--T-list", "4,8", "--eps", "0.5", "--n", "0"],
+    ],
+)
+def test_sweep_rejects_horizon_independent_input_before_any_horizon(capsys, monkeypatch, argv):
+    calls = []
+    for name in ("estimate_tail_naive", "estimate_tail_is", "sup_exceedance_fraction"):
+        monkeypatch.setattr(montecarlo, name, lambda *args, **kwargs: calls.append(args))
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert calls == []
+    assert json.loads(captured.err)["error"] == "config"
+
+
+@pytest.mark.parametrize(
     "argv, cause",
     [
         (["estimate", "--T", "160", "--x", "0.5", "--method", "is", "--tilt-theta1", "1e300"],
          "tilt multiplier theta1"),
         (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10"], "horizon T"),
+        (["simulate", "--T", "1e300"], "horizon T"),
     ],
 )
 def test_poisson_mean_out_of_range_names_its_cause(tmp_path, capsys, argv, cause):
@@ -338,6 +379,7 @@ def test_invalid_model_parameter_rejected(tmp_path):
         ["lln", "--T-list", "4,8", "--eps", "0.5", "--n", "300"],
         ["sweep", "--T-list", "4,8", "--x", "0.5", "--n", "300"],
         ["paths", "--T", "20", "--x", "0.5", "--n", "1500"],
+        ["lln", "--T-list", "4,-1", "--eps", "0.5", "--n", "300"],
     ],
 )
 def test_every_json_output_reparses_to_equal_value(tmp_path, argv):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from catpop.montecarlo import (
     rate_curve_sweep,
     sample_terminal_states,
     sup_exceedance_fraction,
+    sup_fraction_sweep,
     _block_bounds,
     _worker_count,
 )
@@ -60,7 +62,7 @@ def test_default_tilt_below_clock_rate():
     assert P111.birth_rate * tilt.theta1 == P111.alpha
     # the late window (2, 4] expects one catastrophe; the tilt leaves half of one
     assert tilt.at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.5)
-    assert default_tilt(0.5, P111, theta2=0.05).at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.05)
+    assert replace(default_tilt(0.5, P111), theta2=0.05).at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.05)
 
 
 def test_default_tilt_above_clock_rate():
@@ -386,13 +388,22 @@ def test_sup_fraction_decays_with_horizon():
     assert high.p_hat < low.p_hat
 
 
-def test_sweep_single_horizon_reduces_to_estimate():
+@pytest.mark.parametrize(
+    "sweep, estimate",
+    [
+        (lambda T_list: rate_curve_sweep(P111, 0.5, T_list, "naive", 5_000, 47),
+         lambda T, seed: estimate_tail_naive(P111, T, 0.5, 5_000, seed)),
+        (lambda T_list: sup_fraction_sweep(P111, 0.5, T_list, 5_000, 47),
+         lambda T, seed: sup_exceedance_fraction(P111, T, 0.5, 5_000, seed)),
+    ],
+    ids=["sweep", "lln"],
+)
+def test_sweep_single_horizon_reduces_to_estimate(sweep, estimate):
     from catpop.streams import derive_seed, float_key
 
-    points = rate_curve_sweep(P111, 0.5, [4.0], "naive", 5_000, 47)
+    points = sweep([4.0])
     assert len(points) == 1
-    direct = estimate_tail_naive(P111, 4.0, 0.5, 5_000, derive_seed(47, float_key(4.0)))
-    assert points[0].result == direct
+    assert points[0].result == estimate(4.0, derive_seed(47, float_key(4.0)))
     assert points[0].error is None
 
 
