@@ -18,9 +18,12 @@ Two independent constructions of the same process are provided:
 
 Each construction is one block kernel: a call simulates a block of replicas
 from one generator, one row per replica, and steps every row through its
-sorted events one event column at a time.  The simulators above are the
-one-replica block; the Monte Carlo estimators run blocks of
-``streams.BLOCK``.
+sorted events one event column at a time.  A row's events are sorted by one
+in-place sort: of its times for the jump chain, and of packed
+``(time, kind)`` keys for the two streams, so that a birth comes before a
+catastrophe at the same time.  The order depends on the drawn values alone.
+The simulators above are the one-replica block; the Monte Carlo estimators
+run blocks of ``streams.BLOCK``.
 
 Paths are stored as change points only.  :func:`scale_path` produces the
 scaled path ``t -> state(T*t)/T`` on ``[0, 1]``, and :func:`optimal_path`
@@ -139,8 +142,9 @@ class _Block:
     """Events and states of a block of replicas, one row per replica.
 
     ``times`` holds each row's sorted event times, padded with ``+inf`` past
-    its ``counts`` events; ``kinds`` is 0 on the padding and ``post`` repeats
-    the terminal state there.
+    its ``counts`` events; at equal times a birth comes before a catastrophe
+    (:func:`_merge_streams`).  ``kinds`` is 0 on the padding and ``post``
+    repeats the terminal state there.
     """
 
     times: np.ndarray
@@ -185,8 +189,37 @@ def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, le
     return times
 
 
+def _merge_streams(times: np.ndarray, first_catastrophe_column: int) -> tuple[np.ndarray, ...]:
+    """Merge the birth and catastrophe columns of each row into its sorted events.
+
+    ``times`` holds ``+inf``-padded birth times before ``first_catastrophe_column``
+    and catastrophe times from it on; it is overwritten.  Each time becomes one
+    uint64 key ``(bits(time) << 1) | kind``: times >= +0 (``+inf`` included)
+    order like their bit patterns read as unsigned integers, the sign bit is 0 so
+    the shift loses nothing, and at equal times a birth (kind 0) comes before a
+    catastrophe.  One in-place sort of each row's keys therefore gives an order
+    fixed by the values alone.  Returns the merged times and kinds, cut to the
+    widest row, and each row's event count.
+    """
+    counts = np.count_nonzero(times < np.inf, axis=1)
+    keys = times.view(np.uint64)
+    keys <<= 1
+    keys[:, first_catastrophe_column:] |= 1
+    keys.sort(axis=1)
+    keys = keys[:, :counts.max(initial=0)]
+    kinds = (keys & 1).astype(np.uint8)
+    keys >>= 1
+    times = keys.view(np.float64)
+    # the catastrophe columns' padding carries kind 1 up to here
+    kinds[times == np.inf] = EventKind.BIRTH
+    return times, kinds, counts
+
+
 def _run_events(times, kinds, counts, rng, land) -> _Block:
     """Step every row of a block through its sorted events, one event column at a time.
+
+    Rows come sorted from one in-place sort (:func:`_merge_streams` for the
+    two streams, births first on ties), with ``kinds`` 0 on the padding.
 
     A birth, or any event of the empty population, adds one; a catastrophe
     at level m draws u uniform on {0, ..., m-1} (``Generator.integers`` with
@@ -222,7 +255,8 @@ def _drop_by(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator, rows: int) -> _Block:
     """Jump chain run at Poisson clock times, for a block of ``rows`` replicas."""
     counts = rng.poisson(params.alpha * T, size=rows)
-    times = np.sort(_padded_times(rng, counts, 0.0, T), axis=1)
+    times = _padded_times(rng, counts, 0.0, T)
+    times.sort(axis=1)
     kinds = np.zeros(times.shape, dtype=np.uint8)
     # the clock's marks are independent of its times, so they are drawn in time order
     kinds[times < np.inf] = rng.random(int(counts.sum())) >= params.birth_prob
@@ -258,15 +292,8 @@ def _decomposed_block(
         nc = rng.poisson(rc * length, size=rows)
         births.append(_padded_times(rng, nb, start, length))
         cats.append(_padded_times(rng, nc, start, length))
-    times = np.concatenate(births + cats, axis=1)
-    kinds = np.zeros(times.shape, dtype=np.uint8)
-    kinds[:, sum(b.shape[1] for b in births):] = EventKind.CATASTROPHE
-
-    counts = np.count_nonzero(times < np.inf, axis=1)
-    order = np.argsort(times, axis=1, kind="stable")[:, :counts.max(initial=0)]
-    times = np.take_along_axis(times, order, axis=1)
-    kinds = np.take_along_axis(kinds, order, axis=1)
-    kinds[times == np.inf] = EventKind.BIRTH
+    first_catastrophe_column = sum(b.shape[1] for b in births)
+    times, kinds, counts = _merge_streams(np.concatenate(births + cats, axis=1), first_catastrophe_column)
     return _run_events(times, kinds, counts, rng, _drop_by)
 
 

@@ -37,7 +37,7 @@ from .model import (
     _grid_states,
     _subordinated_block,
 )
-from .paths import WeightedPaths
+from .paths import NoQualifyingSamplesError, WeightedPaths
 from .streams import BLOCK, check_seed, derive_seed, float_key, replica_rng
 
 _Z95 = 1.959963984540054
@@ -224,14 +224,23 @@ def _wilson_interval(p_hat: float, n: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _fold_estimate(sums, T, n, seed, weighted: bool) -> EstimateResult:
-    """The estimate from a run's sums Σh, Σh², Σw and Σw² (:func:`_fold_block`)."""
+def _fold_estimate(sums, T, n, seed, tilt: TiltConfig | None = None) -> EstimateResult:
+    """The estimate from a run's sums Σh, Σh², Σw and Σw² (:func:`_fold_block`).
+
+    ``tilt`` is the sampling tilt of a weighted run, ``None`` for plain sampling.
+    A run whose every squared weight underflows to 0 has no effective sample.
+    """
     hits, hits2, weights, weights2 = map(float, sums[:4])
+    if weights2 == 0.0:
+        raise NoQualifyingSamplesError(
+            f"no sample with positive weight satisfies the conditioning event: the importance "
+            f"weights underflow, their squares sum to 0 under {tilt}"
+        )
     p_hat = hits / n
     ess = weights**2 / weights2
     var0 = max(0.0, hits2 / n - p_hat * p_hat)
     std_err = math.sqrt(var0 / ess)
-    if weighted:
+    if tilt is not None:
         ci = (p_hat - _Z95 * std_err, p_hat + _Z95 * std_err)
     else:
         ci = _wilson_interval(p_hat, n)
@@ -262,7 +271,7 @@ def estimate_tail_naive(
     interval is a Wilson score interval.
     """
     sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
-    return _fold_estimate(sums, T, n, seed, weighted=False)
+    return _fold_estimate(sums, T, n, seed)
 
 
 def estimate_tail_is(
@@ -282,7 +291,7 @@ def estimate_tail_is(
     for weighted means.
     """
     sums = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
-    return _fold_estimate(sums, T, n, seed, weighted=True)
+    return _fold_estimate(sums, T, n, seed, tilt.at_horizon(params, T))
 
 
 def sup_exceedance_fraction(
@@ -300,7 +309,7 @@ def sup_exceedance_fraction(
     # sup/T > eps is sup/T >= the next float above eps; tail_level rejects a bad T
     level = tail_level(float(np.nextafter(eps, math.inf)), T)
     sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("sup", level))
-    return _fold_estimate(sums, T, n, seed, weighted=False)
+    return _fold_estimate(sums, T, n, seed)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,18 @@ def test_paths_statistical_failure(tmp_path, capsys):
     assert record["error"] == "statistical"
 
 
+def test_estimate_with_every_weight_underflowing_exits_statistical(tmp_path, capsys):
+    rc, text = _run(
+        tmp_path, "estimate", "--T", "4", "--x", "0.5", "--method", "is", "--n", "100",
+        "--tilt-theta1", "300",
+    )
+    assert rc == 4
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "statistical"
+    assert "theta1=300.0" in record["message"]
+
+
 @pytest.mark.parametrize("x", ["0", "-1"])
 def test_paths_rejects_nonpositive_level_before_simulating(tmp_path, capsys, monkeypatch, x):
     def no_simulation(*args, **kwargs):

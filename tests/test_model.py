@@ -22,6 +22,8 @@ from catpop.model import (
     _drop_by,
     _grid_states,
     _land_at,
+    _merge_streams,
+    _padded_times,
     _run_events,
     _subordinated_block,
 )
@@ -171,6 +173,92 @@ def test_block_rows_are_paths(kernel):
         _assert_path_invariants(path, 3.0)
         assert block.terminal[r] == (path.post_states[-1] if path.n_events else 0)
         assert block.sup[r] == path.post_states.max(initial=0)
+
+
+def _argsort_merge(times, first_catastrophe_column):
+    # reference: the stable argsort merge that the packed-key sort replaced;
+    # births come first in the concatenation, so they win ties
+    kinds = np.zeros(times.shape, dtype=np.uint8)
+    kinds[:, first_catastrophe_column:] = EventKind.CATASTROPHE
+    counts = np.count_nonzero(times < np.inf, axis=1)
+    order = np.argsort(times, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    times = np.take_along_axis(times, order, axis=1)
+    kinds = np.take_along_axis(kinds, order, axis=1)
+    kinds[times == np.inf] = EventKind.BIRTH
+    return times, kinds, counts
+
+
+def _assert_merge_matches_argsort(times, first_catastrophe_column):
+    got = _merge_streams(times.copy(), first_catastrophe_column)
+    expected = _argsort_merge(times.copy(), first_catastrophe_column)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+    # bit-equal times: +0.0 against -0.0 or a changed NaN payload would show here
+    assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
+    return got
+
+
+@pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
+@pytest.mark.parametrize("switch", [(0.0, 1.0, 1.0), (0.5, 2.0, 0.1)], ids=["plain", "switched"])
+def test_merge_matches_stable_argsort_on_blocks(monkeypatch, T, switch):
+    seen = []
+
+    def spy(times, first_catastrophe_column):
+        seen.append((times.copy(), first_catastrophe_column))
+        return _merge_streams(times, first_catastrophe_column)
+
+    monkeypatch.setattr("catpop.model._merge_streams", spy)
+    block = _decomposed_block(P111, T, replica_rng(71, 0), BLOCK, *switch)
+    (times, first), = seen
+    expected = _assert_merge_matches_argsort(times, first)
+    assert np.array_equal(block.times, expected[0])
+    assert np.array_equal(block.kinds, expected[1])
+    assert first < times.shape[1]
+
+
+def test_merge_puts_a_birth_before_a_catastrophe_at_the_same_time():
+    inf = np.inf
+    times = np.array([
+        [1.0, 2.0, inf, 1.0, inf],  # a birth and a catastrophe at time 1
+        [3.0, 3.0, 3.0, 3.0, 3.0],  # equal times within each stream
+        [inf, inf, inf, inf, inf],  # no events
+        [2.0, inf, inf, 0.5, 2.0],
+    ])
+    merged, kinds, counts = _assert_merge_matches_argsort(times, 3)
+    assert np.array_equal(counts, [3, 5, 0, 3])
+    assert np.array_equal(merged[0, :3], [1.0, 1.0, 2.0])
+    assert np.array_equal(kinds[0, :3], [EventKind.BIRTH, EventKind.CATASTROPHE, EventKind.BIRTH])
+    assert np.array_equal(kinds[1], [0, 0, 0, 1, 1])
+    assert np.array_equal(kinds[3], [1, 0, 1, 0, 0])
+    assert np.all(kinds[2] == EventKind.BIRTH) and np.all(merged[2] == inf)
+
+
+@pytest.mark.parametrize("widest", [0, 1])
+def test_merge_of_blocks_with_at_most_one_event_per_row(widest):
+    times = np.full((4, 3), np.inf)
+    if widest:
+        times[2, 2] = 0.5
+    merged, kinds, counts = _assert_merge_matches_argsort(times, 2)
+    assert merged.shape == (4, widest)
+    assert np.array_equal(counts, [0, 0, widest, 0])
+    _assert_merge_matches_argsort(np.empty((3, 0)), 0)
+
+
+def test_merge_orders_zero_and_subnormal_times():
+    # times at +0.0 and on a subnormal horizon, where the bit-pattern order of
+    # the keys must still be the order of the values
+    rng = np.random.default_rng(5)
+    nb, nc = rng.poisson(6.0, size=200), rng.poisson(6.0, size=200)
+    births, cats = _padded_times(rng, nb, 0.0, 1e-310), _padded_times(rng, nc, 0.0, 1e-310)
+    births[::7, 0] = 0.0
+    cats[::5, 0] = 0.0
+    cats[::3, -1] = np.nextafter(0.0, 1.0)
+    times = np.concatenate((births, cats), axis=1)
+    assert np.any((times > 0) & (times < np.finfo(float).tiny))
+    merged, kinds, _ = _assert_merge_matches_argsort(times, births.shape[1])
+    # row 0 has a birth and a catastrophe at +0.0, then the smallest subnormal
+    assert np.array_equal(merged[0, :3], [0.0, 0.0, np.nextafter(0.0, 1.0)])
+    assert np.array_equal(kinds[0, :3], [EventKind.BIRTH, EventKind.CATASTROPHE, EventKind.CATASTROPHE])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),

@@ -33,6 +33,7 @@ from catpop.montecarlo import (
     _block_bounds,
     _worker_count,
 )
+from catpop.paths import NoQualifyingSamplesError
 from catpop.streams import BLOCK, derive_seed, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -264,6 +265,18 @@ def test_ess_warning_on_mismatched_tilt():
     result = estimate_tail_is(P111, 30.0, 0.1, tilt, 2_000, 23)
     assert result.ess < 0.01 * result.n
     assert result.ess_warning
+
+
+def test_every_weight_underflowing_is_a_statistical_failure():
+    # theta1 = 300 on the late half of T = 4 gives log-weights near -1400, so
+    # every squared weight is 0 and there is no effective sample
+    tilt = TiltConfig(0.5, 300.0, None)
+    with pytest.raises(NoQualifyingSamplesError, match="theta1=300.0"):
+        estimate_tail_is(P111, 4.0, 0.5, tilt, 100, 13)
+    # in a sweep it fails only its own horizon
+    points = list(montecarlo._sweep([4.0], 13, lambda T, s: estimate_tail_is(P111, T, 0.5, tilt, 100, s)))
+    assert points[0].result is None
+    assert points[0].error.startswith("NoQualifyingSamplesError")
 
 
 def test_weights_positive_and_finite():
