@@ -1,8 +1,12 @@
 """Command-line interface: every experiment as a scriptable subcommand.
 
 Configuration comes from flat ``key = value`` files and command-line flags
-of the same names, with precedence flag > file > built-in default.  Output
-is CSV (fixed, documented columns with a header row) or JSON, with floats
+of the same names, with precedence flag > file > built-in default.  Both
+arrive as raw strings and pass the same checks (known key, cast, allowed
+choices), so a malformed value fails with the same keyed record wherever
+it came from.  Each command builds its JSON document and its CSV rows
+once; ``main`` adds the shared ``command``/``params`` head.  Output is CSV
+(fixed, documented columns with a header row) or JSON, with floats
 serialized to 17 significant digits so files are bit-stable regression
 fixtures.  All randomness derives from the single ``--seed`` value; the
 worker count never changes an output byte.
@@ -64,7 +68,7 @@ _REQUIRED = object()
 
 def _parse_T_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in str(text).split(","))
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -97,152 +101,6 @@ _TILT = [
     Opt("tilt-theta1", float, None, "override: birth-stream intensity multiplier"),
     Opt("tilt-theta2", float, None, "override: catastrophe-stream intensity multiplier"),
 ]
-
-_COMMANDS: dict[str, dict] = {
-    "simulate": {
-        "help": "simulate one path and dump its events or its scaled grid",
-        "default_format": "csv",
-        "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("method", str, "subordinated", "path construction",
-                choices=("subordinated", "decomposed")),
-            Opt("grid", int, None, "if set, emit the scaled path on this many steps"),
-        ],
-    },
-    "exact": {
-        "help": "exact truncated law of the population at time T",
-        "default_format": "json",
-        "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("M", int, 64, "state truncation cap"),
-            Opt("K", int, 60, "event-count truncation cap"),
-            Opt("x", float, None, "if set, also report P(state/T >= x)"),
-        ],
-    },
-    "rate": {
-        "help": "closed-form and variational decay rates on an x-grid",
-        "default_format": "csv",
-        "opts": [
-            Opt("x", float, None, "largest deviation level (default 3*alpha)"),
-            Opt("grid", int, 50, "number of grid points in (0, x]"),
-        ],
-    },
-    "estimate": {
-        "help": "estimate P(scaled terminal value >= x) at one horizon",
-        "default_format": "json",
-        "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", int, 10000, "replica count"),
-            Opt("method", str, "naive", "estimator", choices=("naive", "is")),
-            *_TILT,
-        ],
-    },
-    "lln": {
-        "help": "sup-exceedance fraction over a sweep of horizons",
-        "default_format": "csv",
-        "opts": [
-            Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
-            Opt("eps", float, _REQUIRED, "exceedance level"),
-            Opt("n", int, 10000, "replica count per horizon"),
-        ],
-    },
-    "sweep": {
-        "help": "decay-exponent curve over a sweep of horizons",
-        "default_format": "csv",
-        "opts": [
-            Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
-            Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", int, 10000, "replica count per horizon"),
-            Opt("method", str, "is", "estimator", choices=("naive", "is")),
-        ],
-    },
-    "paths": {
-        "help": "conditioned mean path against the predicted trajectory",
-        "default_format": "csv",
-        "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", int, 10000, "replica count"),
-            Opt("grid", int, 100, "scaled-path grid steps"),
-            *_TILT,
-        ],
-    },
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="catpop",
-        description="growth-catastrophe population process toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in _COMMANDS.items():
-        p = sub.add_parser(name, help=spec["help"])
-        p.add_argument("--config", default=None, help="flat key = value configuration file")
-        for opt in _COMMON + spec["opts"]:
-            kwargs = {"dest": opt.dest, "default": None, "help": opt.help}
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            if opt.cast is not str:
-                kwargs["type"] = opt.cast
-            p.add_argument(f"--{opt.key}", **kwargs)
-    return parser
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}", key="config") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-def _merge_config(command: str, args: argparse.Namespace) -> dict:
-    """Apply precedence flag > config file > default; validate every key."""
-    opts = {o.key: o for o in _COMMON + _COMMANDS[command]["opts"]}
-    cfg = {o.dest: (None if o.default is _REQUIRED else o.default) for o in opts.values()}
-
-    if args.config is not None:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in opts:
-                raise ConfigError(f"unknown configuration key {key!r}", key=key)
-            opt = opts[key]
-            try:
-                value = opt.cast(raw) if opt.cast is not str else raw
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}", key=key) from exc
-            if opt.choices and value not in opt.choices:
-                raise ConfigError(
-                    f"bad value for {key!r}: expected one of {opt.choices}, got {value!r}",
-                    key=key,
-                )
-            cfg[opt.dest] = value
-
-    for opt in opts.values():
-        flag_value = getattr(args, opt.dest)
-        if flag_value is not None:
-            cfg[opt.dest] = flag_value
-
-    for opt in opts.values():
-        if opt.default is _REQUIRED and cfg[opt.dest] is None:
-            raise ConfigError(f"missing required key {opt.key!r}", key=opt.key)
-
-    if cfg["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}", key="workers")
-    if cfg["format"] is None:
-        cfg["format"] = _COMMANDS[command]["default_format"]
-    return cfg
 
 
 def _fmt(value) -> str:
@@ -295,54 +153,35 @@ def _render_json(value, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _params_doc(params: ModelParams) -> dict:
-    return {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
+_TILT_FIELDS = {"tilt_s": "switch_time_s", "tilt_theta1": "theta1", "tilt_theta2": "theta2"}
 
 
 def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
     base = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig.identity()
-    overrides = {}
-    if cfg.get("tilt_s") is not None:
-        overrides["switch_time_s"] = cfg["tilt_s"]
-    if cfg.get("tilt_theta1") is not None:
-        overrides["theta1"] = cfg["tilt_theta1"]
-    if cfg.get("tilt_theta2") is not None:
-        overrides["theta2"] = cfg["tilt_theta2"]
-    tilt = replace(base, **overrides) if overrides else base
-    return tilt.at_horizon(params, cfg["T"])
+    overrides = {field: cfg[dest] for dest, field in _TILT_FIELDS.items() if cfg[dest] is not None}
+    return replace(base, **overrides).at_horizon(params, cfg["T"])
 
 
 def _cmd_simulate(cfg: dict, params: ModelParams):
     spec = SimSpec(horizon_T=cfg["T"], seed=cfg["seed"])
     simulate = simulate_subordinated if cfg["method"] == "subordinated" else simulate_decomposed
     path = simulate(params, spec)
-    doc = {
-        "command": "simulate",
-        "params": _params_doc(params),
-        "T": cfg["T"],
-        "seed": cfg["seed"],
-        "method": cfg["method"],
-    }
+    doc = {"T": cfg["T"], "seed": cfg["seed"], "method": cfg["method"]}
     if cfg["grid"] is not None:
         scaled = scale_path(path, cfg["T"], cfg["grid"])
         doc["grid"] = scaled.grid
         doc["values"] = scaled.values
-        rows = list(zip(scaled.grid.tolist(), scaled.values.tolist()))
-        return doc, ["t", "value"], rows
+        return doc, ["t", "value"], list(zip(scaled.grid.tolist(), scaled.values.tolist()))
+    header = ["time", "kind", "post_state"]
     kinds = ["birth" if k == EventKind.BIRTH else "catastrophe" for k in path.kinds]
-    doc["events"] = [
-        {"time": float(t), "kind": kind, "post_state": int(s)}
-        for t, kind, s in zip(path.times, kinds, path.post_states)
-    ]
     rows = list(zip(path.times.tolist(), kinds, path.post_states.tolist()))
-    return doc, ["time", "kind", "post_state"], rows
+    doc["events"] = [dict(zip(header, row)) for row in rows]
+    return doc, header, rows
 
 
 def _cmd_exact(cfg: dict, params: ModelParams):
     pmf = exact_state_distribution(params, cfg["T"], cfg["M"], cfg["K"])
     doc = {
-        "command": "exact",
-        "params": _params_doc(params),
         "T": cfg["T"],
         "M": cfg["M"],
         "K": cfg["K"],
@@ -354,48 +193,27 @@ def _cmd_exact(cfg: dict, params: ModelParams):
         doc["x"] = cfg["x"]
         doc["tail_probability"] = value
         doc["tail_uncertainty"] = uncertainty
-    rows = list(enumerate(pmf.masses.tolist()))
-    return doc, ["state", "mass"], rows
+    return doc, ["state", "mass"], list(enumerate(pmf.masses.tolist()))
 
 
 def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
-    if x_max <= 0:
-        raise ConfigError("x must be > 0", key="x")
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise ConfigError(f"x must be finite and > 0, got {x_max}", key="x")
     if cfg["grid"] < 1:
         raise ConfigError(f"grid must be >= 1, got {cfg['grid']}", key="grid")
-    points = []
+    rows = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]
         closed = terminal_rate(x, params)
         variational, argmax = terminal_rate_variational(x, params)
-        points.append((x, closed, variational, argmax.y, argmax.z))
-    doc = {
-        "command": "rate",
-        "params": _params_doc(params),
-        "points": [
-            {
-                "x": x,
-                "rate_closed_form": c,
-                "rate_variational": v,
-                "argmax_y": y,
-                "argmax_z": z,
-            }
-            for x, c, v, y, z in points
-        ],
-    }
-    return doc, ["x", "rate_closed_form", "rate_variational", "argmax_y", "argmax_z"], points
+        rows.append((x, closed, variational, argmax.y, argmax.z))
+    header = ["x", "rate_closed_form", "rate_variational", "argmax_y", "argmax_z"]
+    return {"points": [dict(zip(header, row)) for row in rows]}, header, rows
 
 
 def _cmd_estimate(cfg: dict, params: ModelParams):
-    doc = {
-        "command": "estimate",
-        "params": _params_doc(params),
-        "T": cfg["T"],
-        "x": cfg["x"],
-        "n": cfg["n"],
-        "method": cfg["method"],
-    }
+    doc = {"T": cfg["T"], "x": cfg["x"], "n": cfg["n"], "method": cfg["method"]}
     if cfg["method"] == "naive":
         result = estimate_tail_naive(params, cfg["T"], cfg["x"], cfg["n"], cfg["seed"], cfg["workers"])
         doc["tilt"] = None
@@ -404,12 +222,9 @@ def _cmd_estimate(cfg: dict, params: ModelParams):
         result = estimate_tail_is(params, cfg["T"], cfg["x"], tilt, cfg["n"], cfg["seed"], cfg["workers"])
         doc["tilt"] = asdict(tilt)
     doc.update(asdict(result))
-    row = (
-        result.p_hat, result.log_rate, result.std_err,
-        result.ci95[0], result.ci95[1], result.n, result.ess, result.ess_warning,
-    )
     header = ["p_hat", "log_rate", "std_err", "ci_lo", "ci_hi", "n", "ess", "ess_warning"]
-    return doc, header, [row]
+    fields = {**doc, "ci_lo": doc["ci95"][0], "ci_hi": doc["ci95"][1]}
+    return doc, header, [[fields[name] for name in header]]
 
 
 def _sweep_output(doc: dict, points, columns: list[str], values):
@@ -421,13 +236,8 @@ def _sweep_output(doc: dict, points, columns: list[str], values):
 
 def _cmd_lln(cfg: dict, params: ModelParams):
     points = sup_fraction_sweep(params, cfg["eps"], cfg["T_list"], cfg["n"], cfg["seed"], cfg["workers"])
-    doc = {
-        "command": "lln",
-        "params": _params_doc(params),
-        "eps": cfg["eps"],
-    }
     columns = ["fraction", "ci_lo", "ci_hi", "n"]
-    return _sweep_output(doc, points, columns, lambda r, T: (r.p_hat, *r.ci95, r.n))
+    return _sweep_output({"eps": cfg["eps"]}, points, columns, lambda r, T: (r.p_hat, *r.ci95, r.n))
 
 
 def _log_rate_values(result, T: float) -> tuple:
@@ -441,13 +251,7 @@ def _cmd_sweep(cfg: dict, params: ModelParams):
     points = rate_curve_sweep(
         params, cfg["x"], cfg["T_list"], cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
     )
-    doc = {
-        "command": "sweep",
-        "params": _params_doc(params),
-        "x": cfg["x"],
-        "method": cfg["method"],
-        "n": cfg["n"],
-    }
+    doc = {"x": cfg["x"], "method": cfg["method"], "n": cfg["n"]}
     columns = ["log_rate", "log_rate_lo", "log_rate_hi", "p_hat", "std_err", "ess"]
     return _sweep_output(doc, points, columns, _log_rate_values)
 
@@ -462,38 +266,172 @@ def _cmd_paths(cfg: dict, params: ModelParams):
     mean = conditioned_mean_path(samples, grid_size=cfg["grid"])
     reference = optimal_path(cfg["x"], params)
     ref_values = reference.values(mean.grid)
-    distance = path_distance(mean, reference)
-    rows = [
-        (float(t), float(v), float(r), float(abs(v - r)))
-        for t, v, r in zip(mean.grid, mean.mean_values, ref_values)
-    ]
     doc = {
-        "command": "paths",
-        "params": _params_doc(params),
         "T": cfg["T"],
         "x": cfg["x"],
         "n": cfg["n"],
         "tilt": asdict(tilt),
         "total_weight": mean.total_weight,
-        "sup_distance": distance,
+        "sup_distance": path_distance(mean, reference),
         "breakpoint": reference.breakpoint,
         "slope": reference.slope,
         "grid": mean.grid,
         "conditioned_mean": mean.mean_values,
         "optimal": ref_values,
     }
+    rows = list(zip(mean.grid, mean.mean_values, ref_values, np.abs(mean.mean_values - ref_values)))
     return doc, ["t", "conditioned_mean", "optimal", "abs_error"], rows
 
 
-_RUNNERS = {
-    "simulate": _cmd_simulate,
-    "exact": _cmd_exact,
-    "rate": _cmd_rate,
-    "estimate": _cmd_estimate,
-    "lln": _cmd_lln,
-    "sweep": _cmd_sweep,
-    "paths": _cmd_paths,
+_COMMANDS: dict[str, dict] = {
+    "simulate": {
+        "run": _cmd_simulate,
+        "help": "simulate one path and dump its events or its scaled grid",
+        "default_format": "csv",
+        "opts": [
+            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("method", str, "subordinated", "path construction",
+                choices=("subordinated", "decomposed")),
+            Opt("grid", int, None, "if set, emit the scaled path on this many steps"),
+        ],
+    },
+    "exact": {
+        "run": _cmd_exact,
+        "help": "exact truncated law of the population at time T",
+        "default_format": "json",
+        "opts": [
+            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("M", int, 64, "state truncation cap"),
+            Opt("K", int, 60, "event-count truncation cap"),
+            Opt("x", float, None, "if set, also report P(state/T >= x)"),
+        ],
+    },
+    "rate": {
+        "run": _cmd_rate,
+        "help": "closed-form and variational decay rates on an x-grid",
+        "default_format": "csv",
+        "opts": [
+            Opt("x", float, None, "largest deviation level (default 3*alpha)"),
+            Opt("grid", int, 50, "number of grid points in (0, x]"),
+        ],
+    },
+    "estimate": {
+        "run": _cmd_estimate,
+        "help": "estimate P(scaled terminal value >= x) at one horizon",
+        "default_format": "json",
+        "opts": [
+            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("x", float, _REQUIRED, "deviation level"),
+            Opt("n", int, 10000, "replica count"),
+            Opt("method", str, "naive", "estimator", choices=("naive", "is")),
+            *_TILT,
+        ],
+    },
+    "lln": {
+        "run": _cmd_lln,
+        "help": "sup-exceedance fraction over a sweep of horizons",
+        "default_format": "csv",
+        "opts": [
+            Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
+            Opt("eps", float, _REQUIRED, "exceedance level"),
+            Opt("n", int, 10000, "replica count per horizon"),
+        ],
+    },
+    "sweep": {
+        "run": _cmd_sweep,
+        "help": "decay-exponent curve over a sweep of horizons",
+        "default_format": "csv",
+        "opts": [
+            Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
+            Opt("x", float, _REQUIRED, "deviation level"),
+            Opt("n", int, 10000, "replica count per horizon"),
+            Opt("method", str, "is", "estimator", choices=("naive", "is")),
+        ],
+    },
+    "paths": {
+        "run": _cmd_paths,
+        "help": "conditioned mean path against the predicted trajectory",
+        "default_format": "csv",
+        "opts": [
+            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("x", float, _REQUIRED, "deviation level"),
+            Opt("n", int, 10000, "replica count"),
+            Opt("grid", int, 100, "scaled-path grid steps"),
+            *_TILT,
+        ],
+    },
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="catpop",
+        description="growth-catastrophe population process toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec["help"])
+        p.add_argument("--config", default=None, help="flat key = value configuration file")
+        for opt in _COMMON + spec["opts"]:
+            # values stay raw strings here; _merge_config checks them like file values
+            choices = f": {' or '.join(opt.choices)}" if opt.choices else ""
+            p.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help + choices)
+    return parser
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    entries: dict[str, str] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}", key="config") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
+    return entries
+
+
+def _merge_config(command: str, args: argparse.Namespace) -> dict:
+    """Apply precedence flag > config file > default; check every given value alike.
+
+    File entries come first and flags after them, so a flag overrides the
+    file, but a malformed file value still fails even where a flag overrides it.
+    """
+    opts = {o.key: o for o in _COMMON + _COMMANDS[command]["opts"]}
+    cfg = {o.dest: (None if o.default is _REQUIRED else o.default) for o in opts.values()}
+
+    given = list(_read_config_file(args.config).items()) if args.config is not None else []
+    given += [(o.key, getattr(args, o.dest)) for o in opts.values() if getattr(args, o.dest) is not None]
+    for key, raw in given:
+        if key not in opts:
+            raise ConfigError(f"unknown configuration key {key!r}", key=key)
+        opt = opts[key]
+        try:
+            value = opt.cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", key=key) from exc
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(
+                f"bad value for {key!r}: expected one of {opt.choices}, got {value!r}",
+                key=key,
+            )
+        cfg[opt.dest] = value
+
+    for opt in opts.values():
+        if opt.default is _REQUIRED and cfg[opt.dest] is None:
+            raise ConfigError(f"missing required key {opt.key!r}", key=opt.key)
+
+    if cfg["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}", key="workers")
+    if cfg["format"] is None:
+        cfg["format"] = _COMMANDS[command]["default_format"]
+    return cfg
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -517,11 +455,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args.command, args)
         params = ModelParams(lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"])
-        doc, header, rows = _RUNNERS[args.command](cfg, params)
+        body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
         if cfg["format"] == "json":
-            _emit(_render_json(doc) + "\n", cfg["out"])
+            params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
+            text = _render_json({"command": args.command, "params": params_doc, **body}) + "\n"
         else:
-            _emit(_render_csv(header, rows), cfg["out"])
+            text = _render_csv(header, rows)
+        _emit(text, cfg["out"])
         return 0
     except ConfigError as exc:
         _error_record("config", exc)

@@ -111,12 +111,14 @@ def default_tilt(x: float, params: ModelParams) -> TiltConfig:
     ``alpha`` on the climb window; at or above it the whole horizon is tilted
     so births arrive at intensity ``x``.  The catastrophe stream damping is
     matched to the horizon of each run (:meth:`TiltConfig.at_horizon`).
+    A level so small that ``1 - x/alpha`` rounds to 1 gets the last switch
+    time below 1: a nearly empty tilted window with weights of about 1.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"deviation level x must be finite and > 0, got {x}")
     lam, mu, alpha = params.lam, params.mu, params.alpha
     if x < alpha:
-        return TiltConfig(1.0 - x / alpha, (lam + mu) / lam, None)
+        return TiltConfig(min(1.0 - x / alpha, math.nextafter(1.0, 0.0)), (lam + mu) / lam, None)
     return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), None)
 
 

@@ -324,6 +324,86 @@ def test_config_bad_value_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["key"] == "T"
 
 
+@pytest.mark.parametrize(
+    "command, required, key, bad",
+    [
+        ("estimate", ["--x", "0.5"], "T", "abc"),
+        ("estimate", ["--T", "4", "--x", "0.5"], "format", "xml"),
+        ("estimate", ["--T", "4", "--x", "0.5"], "n", "1.5"),
+        ("lln", ["--eps", "0.5"], "T-list", "4,a"),
+    ],
+)
+def test_bad_flag_value_fails_like_the_same_bad_file_value(tmp_path, capsys, command, required, key, bad):
+    rc_flag = main([command, *required, f"--{key}", bad])
+    flag_err = capsys.readouterr().err
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {bad}\n")
+    rc_file = main([command, *required, "--config", str(config)])
+    file_err = capsys.readouterr().err
+    assert rc_flag == rc_file == 2
+    assert len(flag_err.splitlines()) == 1
+    record = json.loads(flag_err)
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert record == json.loads(file_err)
+
+
+def test_bad_file_value_fails_where_a_flag_overrides_it(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("T = abc\n")
+    rc, text = _run(tmp_path, "estimate", "--config", str(config), "--T", "4", "--x", "0.5")
+    assert rc == 2
+    assert text == ""
+    assert json.loads(capsys.readouterr().err)["key"] == "T"
+
+
+@pytest.mark.parametrize(
+    "command, choices",
+    [
+        ("simulate", ["csv or json", "subordinated or decomposed"]),
+        ("exact", ["csv or json"]),
+        ("rate", ["csv or json"]),
+        ("estimate", ["csv or json", "naive or is"]),
+        ("lln", ["csv or json"]),
+        ("sweep", ["csv or json", "naive or is"]),
+        ("paths", ["csv or json"]),
+    ],
+)
+def test_help_lists_choices(capsys, command, choices):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for choice in choices:
+        assert choice in text
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf", "-1", "0"])
+def test_rate_rejects_a_level_not_finite_and_positive(tmp_path, capsys, x):
+    rc, text = _run(tmp_path, "rate", f"--x={x}", "--grid", "3")
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "x"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--T", "4", "--n", "500", "--method", "is"],
+        ["paths", "--T", "4", "--n", "500", "--grid", "10"],
+        ["sweep", "--T-list", "4,8", "--n", "500", "--method", "is"],
+    ],
+    ids=["estimate", "paths", "sweep"],
+)
+def test_level_below_rounding_runs(tmp_path, argv):
+    # 1 - x/alpha rounds to 1.0 at x = 1e-17
+    rc, text = _run(tmp_path, *argv, "--x", "1e-17")
+    assert rc == 0
+    assert text
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_rejected(tmp_path, capsys, workers):
     rc, _ = _run(tmp_path, "estimate", "--T", "4", "--x", "0.5", "--n", "100", "--workers", workers)

@@ -81,6 +81,17 @@ def test_default_tilt_boundary_and_errors():
         default_tilt(0.0, P111)
 
 
+def test_default_tilt_at_a_level_below_rounding_is_accurate():
+    # 1 - 1e-17 rounds to 1.0; the switch time stays just below 1 and the weights near 1
+    T, x, n = 4.0, 1e-17, 4000
+    tilt = default_tilt(x, P111)
+    assert tilt.switch_time_s == math.nextafter(1.0, 0.0)
+    exact, _ = exact_tail_probability(P111, T, x, 64, 60)
+    result = estimate_tail_is(P111, T, x, tilt.at_horizon(P111, T), n, 3)
+    assert abs(result.p_hat - exact) <= 4.0 * result.std_err
+    assert result.ess == pytest.approx(n, rel=1e-9)
+
+
 def test_likelihood_ratio_identity_is_one():
     tilt = TiltConfig.identity()
     for i in range(40):
