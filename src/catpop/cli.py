@@ -65,6 +65,24 @@ class ConfigError(Exception):
 
 _REQUIRED = object()
 
+# Upper bounds on the resource knobs, so that a typo fails as a config error
+# instead of exhausting memory: each keeps what it sizes well under 1 GB.
+MAX_REPLICAS = 10**8  # n: one argument tuple and one result per 1024 replicas
+MAX_TRUNCATION = 10**6  # M and K: the state vector and the Poisson terms of the oracle
+MAX_GRID = 10**4  # grid: rows x (grid + 1) integers per block of sampled paths
+
+
+def _at_most(cap: int):
+    """An integer cast that refuses values above ``cap``."""
+
+    def cast(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise ValueError(f"must be <= {cap}, got {value}")
+        return value
+
+    return cast
+
 
 def _parse_T_list(text: str) -> tuple[float, ...]:
     try:
@@ -292,7 +310,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("method", str, "subordinated", "path construction",
                 choices=("subordinated", "decomposed")),
-            Opt("grid", int, None, "if set, emit the scaled path on this many steps"),
+            Opt("grid", _at_most(MAX_GRID), None, "if set, emit the scaled path on this many steps"),
         ],
     },
     "exact": {
@@ -301,8 +319,8 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "json",
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("M", int, 64, "state truncation cap"),
-            Opt("K", int, 60, "event-count truncation cap"),
+            Opt("M", _at_most(MAX_TRUNCATION), 64, "state truncation cap"),
+            Opt("K", _at_most(MAX_TRUNCATION), 60, "event-count truncation cap"),
             Opt("x", float, None, "if set, also report P(state/T >= x)"),
         ],
     },
@@ -312,7 +330,7 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "csv",
         "opts": [
             Opt("x", float, None, "largest deviation level (default 3*alpha)"),
-            Opt("grid", int, 50, "number of grid points in (0, x]"),
+            Opt("grid", _at_most(MAX_GRID), 50, "number of grid points in (0, x]"),
         ],
     },
     "estimate": {
@@ -322,7 +340,7 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", int, 10000, "replica count"),
+            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count"),
             Opt("method", str, "naive", "estimator", choices=("naive", "is")),
             *_TILT,
         ],
@@ -334,7 +352,7 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
             Opt("eps", float, _REQUIRED, "exceedance level"),
-            Opt("n", int, 10000, "replica count per horizon"),
+            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count per horizon"),
         ],
     },
     "sweep": {
@@ -344,7 +362,7 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
             Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", int, 10000, "replica count per horizon"),
+            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count per horizon"),
             Opt("method", str, "is", "estimator", choices=("naive", "is")),
         ],
     },
@@ -355,8 +373,8 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", int, 10000, "replica count"),
-            Opt("grid", int, 100, "scaled-path grid steps"),
+            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count"),
+            Opt("grid", _at_most(MAX_GRID), 100, "scaled-path grid steps"),
             *_TILT,
         ],
     },
@@ -364,19 +382,38 @@ _COMMANDS: dict[str, dict] = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse raises its errors (exit_on_error=False) for _parse_args to key;
+    # a flag is only its exact name, as a config-file key is
+    strict = {"exit_on_error": False, "allow_abbrev": False}
     parser = argparse.ArgumentParser(
         prog="catpop",
         description="growth-catastrophe population process toolkit",
+        **strict,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
     for name, spec in _COMMANDS.items():
-        p = sub.add_parser(name, help=spec["help"])
+        p = sub.add_parser(name, help=spec["help"], **strict)
         p.add_argument("--config", default=None, help="flat key = value configuration file")
         for opt in _COMMON + spec["opts"]:
             # values stay raw strings here; _merge_config checks them like file values
             choices = f": {' or '.join(opt.choices)}" if opt.choices else ""
             p.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help + choices)
     return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The command and the raw flag values; any argument argparse cannot take is a keyed ConfigError."""
+    try:
+        args, extra = _build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        # argument_name is the flag ("--x") or the subcommand's "command"
+        raise ConfigError(str(exc), key=exc.argument_name.lstrip("-")) from exc
+    if args.command is None:
+        raise ConfigError(f"missing command, one of {', '.join(_COMMANDS)}", key="command")
+    if extra:
+        # an unknown flag such as --bogus, or a stray value
+        raise ConfigError(f"unknown argument {extra[0]!r}", key=extra[0].lstrip("-").partition("=")[0])
+    return args
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -451,8 +488,8 @@ def _error_record(category: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse_args(argv)
         cfg = _merge_config(args.command, args)
         params = ModelParams(lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"])
         body, header, rows = _COMMANDS[args.command]["run"](cfg, params)

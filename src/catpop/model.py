@@ -22,8 +22,12 @@ sorted events one event column at a time.  A row's events are sorted by one
 in-place sort: of its times for the jump chain, and of packed
 ``(time, kind)`` keys for the two streams, so that a birth comes before a
 catastrophe at the same time.  The order depends on the drawn values alone.
-The simulators above are the one-replica block; the Monte Carlo estimators
-run blocks of ``streams.BLOCK``.
+The loop steps only the state; each row's largest state is read after it.
+The two-stream kernel is the one place that states the tilted window
+``(s*T, T]``: it reports the births and catastrophes it drew there.  Each
+kernel checks a Poisson mean just before drawing from it.  The simulators
+above are the one-replica block; the Monte Carlo estimators run blocks of
+``streams.BLOCK``.
 
 Paths are stored as change points only.  :func:`scale_path` produces the
 scaled path ``t -> state(T*t)/T`` on ``[0, 1]``, and :func:`optimal_path`
@@ -144,7 +148,10 @@ class _Block:
     ``times`` holds each row's sorted event times, padded with ``+inf`` past
     its ``counts`` events; at equal times a birth comes before a catastrophe
     (:func:`_merge_streams`).  ``kinds`` is 0 on the padding and ``post``
-    repeats the terminal state there.
+    repeats the terminal state there; ``sup`` is read from ``post`` after the
+    loop.  ``late`` holds each row's births and catastrophes drawn on the
+    two-stream kernel's tilted window ``(s*T, T]`` (the whole horizon when
+    untilted); the jump chain is never tilted and leaves it ``None``.
     """
 
     times: np.ndarray
@@ -153,6 +160,7 @@ class _Block:
     post: np.ndarray
     terminal: np.ndarray
     sup: np.ndarray
+    late: tuple[np.ndarray, np.ndarray] | None = None
 
     def path(self, row: int) -> PathSample:
         n = int(self.counts[row])
@@ -163,21 +171,14 @@ class _Block:
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
-def _check_poisson_means(params: ModelParams, T: float, switch_time_s=0.0, theta1=1.0, theta2=1.0) -> None:
-    """Name the input that puts a stream's expected event count per replica beyond numpy's Poisson range."""
-    # the clock's alpha*T bounds every untilted stream of both constructions
-    window = (1.0 - switch_time_s) * T
-    means = [
-        (params.alpha * T, "horizon T"),
-        (theta1 * params.birth_rate * window, "tilt multiplier theta1"),
-        (theta2 * params.catastrophe_rate * window, "tilt multiplier theta2"),
-    ]
-    for mean, cause in means:
-        if not mean <= _POISSON_MAX:
-            raise ValueError(
-                f"{cause} gives {mean:.3g} expected events per replica in one stream, "
-                f"beyond numpy's Poisson limit {_POISSON_MAX:.3g}"
-            )
+def _check_mean(mean: float, cause: str) -> float:
+    """``mean`` if numpy's Poisson sampler takes it; otherwise name the input that put it out of range."""
+    if not mean <= _POISSON_MAX:
+        raise ValueError(
+            f"{cause} gives {mean:.3g} expected events per replica in one stream, "
+            f"beyond numpy's Poisson limit {_POISSON_MAX:.3g}"
+        )
+    return mean
 
 
 def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, length: float) -> np.ndarray:
@@ -215,7 +216,7 @@ def _merge_streams(times: np.ndarray, first_catastrophe_column: int) -> tuple[np
     return times, kinds, counts
 
 
-def _run_events(times, kinds, counts, rng, land) -> _Block:
+def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     """Step every row of a block through its sorted events, one event column at a time.
 
     Rows come sorted from one in-place sort (:func:`_merge_streams` for the
@@ -229,7 +230,6 @@ def _run_events(times, kinds, counts, rng, land) -> _Block:
     live = np.ascontiguousarray((np.arange(width) < counts[:, None]).T)
     cats = np.ascontiguousarray(kinds.T == EventKind.CATASTROPHE)
     state = np.zeros(rows, dtype=np.int64)
-    sup = np.zeros(rows, dtype=np.int64)
     post = np.empty((width, rows), dtype=np.int64)
     for c in range(width):
         hit = cats[c] & (state > 0)
@@ -238,8 +238,7 @@ def _run_events(times, kinds, counts, rng, land) -> _Block:
             m = state[hit]
             state[hit] = land(m, rng.integers(0, m))
         post[c] = state
-        np.maximum(sup, state, out=sup)
-    return _Block(times, kinds, counts, post.T, state, sup)
+    return _Block(times, kinds, counts, post.T, state, post.max(axis=0, initial=0), late)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -254,7 +253,7 @@ def _drop_by(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator, rows: int) -> _Block:
     """Jump chain run at Poisson clock times, for a block of ``rows`` replicas."""
-    counts = rng.poisson(params.alpha * T, size=rows)
+    counts = rng.poisson(_check_mean(params.alpha * T, "horizon T"), size=rows)
     times = _padded_times(rng, counts, 0.0, T)
     times.sort(axis=1)
     kinds = np.zeros(times.shape, dtype=np.uint8)
@@ -277,8 +276,11 @@ def _decomposed_block(
 
     On the late window ``(s*T, T]`` the birth and catastrophe intensities are
     multiplied by ``theta1`` and ``theta2``; with the identity multipliers the
-    construction is the plain two-stream decomposition of the process.
+    construction is the plain two-stream decomposition of the process.  The
+    block keeps the counts each row drew on that window as ``late``.
     """
+    # the clock's alpha*T bounds every untilted stream, so only the tilted window can fail below
+    _check_mean(params.alpha * T, "horizon T")
     r1, r2 = params.birth_rate, params.catastrophe_rate
     segments = []
     if switch_time_s > 0.0:
@@ -288,24 +290,22 @@ def _decomposed_block(
     births, cats = [], []
     for start, stop, rb, rc in segments:
         length = stop - start
-        nb = rng.poisson(rb * length, size=rows)
-        nc = rng.poisson(rc * length, size=rows)
+        nb = rng.poisson(_check_mean(rb * length, "tilt multiplier theta1"), size=rows)
+        nc = rng.poisson(_check_mean(rc * length, "tilt multiplier theta2"), size=rows)
         births.append(_padded_times(rng, nb, start, length))
         cats.append(_padded_times(rng, nc, start, length))
     first_catastrophe_column = sum(b.shape[1] for b in births)
     times, kinds, counts = _merge_streams(np.concatenate(births + cats, axis=1), first_catastrophe_column)
-    return _run_events(times, kinds, counts, rng, _drop_by)
+    return _run_events(times, kinds, counts, rng, _drop_by, late=(nb, nc))
 
 
 def simulate_subordinated(params: ModelParams, spec: SimSpec) -> PathSample:
     """Simulate one replica as the jump chain subordinated to a Poisson clock."""
-    _check_poisson_means(params, spec.horizon_T)
     return _subordinated_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 
 def simulate_decomposed(params: ModelParams, spec: SimSpec) -> PathSample:
     """Simulate one replica from two independent birth/catastrophe streams."""
-    _check_poisson_means(params, spec.horizon_T)
     return _decomposed_block(params, spec.horizon_T, spec.rng(), 1).path(0)
 
 

@@ -32,7 +32,6 @@ from .model import (
     EventKind,
     ModelParams,
     PathSample,
-    _check_poisson_means,
     _decomposed_block,
     _grid_states,
     _subordinated_block,
@@ -122,17 +121,6 @@ def default_tilt(x: float, params: ModelParams) -> TiltConfig:
     return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), None)
 
 
-def _late_counts(times: np.ndarray, kinds: np.ndarray, tilt: TiltConfig, T: float):
-    """Births and catastrophes of the late window ``(s*T, T]`` in each row.
-
-    Rows hold sorted event times padded with ``+inf``; an event exactly at
-    ``s*T`` counts as early.
-    """
-    late = (times > tilt.switch_time_s * T) & (times < np.inf)
-    cats = np.count_nonzero(late & (kinds == EventKind.CATASTROPHE), axis=-1)
-    return np.count_nonzero(late, axis=-1) - cats, cats
-
-
 def _weight(
     late_births: np.ndarray, late_cats: np.ndarray, tilt: TiltConfig, params: ModelParams, T: float
 ) -> np.ndarray:
@@ -147,10 +135,11 @@ def _weight(
 
 
 def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T: float) -> float:
-    """Importance weight of a path sampled under the tilted intensities."""
+    """Importance weight of a path sampled under the tilted intensities, from its own events after ``s*T``."""
     tilt = tilt.at_horizon(params, T)
-    counts = _late_counts(path.times[None], path.kinds[None], tilt, T)
-    return float(_weight(*counts, tilt, params, T)[0])
+    late = path.kinds[path.times > tilt.switch_time_s * T]
+    cats = np.count_nonzero(late == EventKind.CATASTROPHE)
+    return float(_weight(late.size - cats, cats, tilt, params, T))
 
 
 def _fold_block(weights: np.ndarray, hits: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -171,7 +160,7 @@ def _run_block(args) -> np.ndarray:
         block = _decomposed_block(params, T, rng, stop - start, tilt.switch_time_s, tilt.theta1, tilt.theta2)
     if event is None:
         return block.terminal
-    weights = _weight(*_late_counts(block.times, block.kinds, tilt, T), tilt, params, T)
+    weights = _weight(*block.late, tilt, params, T)
     rows = None if grid is None else _grid_states(block.times, block.post, grid)
     statistic, level = event
     return _fold_block(weights, getattr(block, statistic) >= level, rows)
@@ -206,7 +195,6 @@ def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, g
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
     tilt = (TiltConfig.identity() if tilt is None else tilt).at_horizon(params, T)
-    _check_poisson_means(params, T, tilt.switch_time_s, tilt.theta1, tilt.theta2)
     bounds = _block_bounds(n)
     workers = _worker_count(workers, len(bounds))
     args = [(params, T, tilt, construction, seed, start, stop, event, grid) for start, stop in bounds]

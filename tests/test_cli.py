@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import catpop
-from catpop import montecarlo
+from catpop import cli, montecarlo
 from catpop.cli import main
 
 ESTIMATE_SCHEMA = {
@@ -445,6 +445,69 @@ def test_error_record_is_one_json_line(tmp_path, capsys, argv, code):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["rate", "--x", "-inf"], "x"),
+        (["estimate", "--T", "4", "--x", "0.5", "--bogus", "1"], "bogus"),
+        (["estimate", "--T"], "T"),
+        ([], "command"),
+        (["estimate", "--T", "4", "--x", "0.5", "--tilt", "3"], "tilt"),
+    ],
+    ids=["value-read-as-flag", "unknown-flag", "flag-without-value", "no-command", "prefix-of-flags"],
+)
+def test_argument_argparse_cannot_take_is_a_keyed_record(capsys, argv, key):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert record["key"] == key
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for a library entry point, so that nothing is simulated or allocated."""
+
+
+@pytest.mark.parametrize(
+    "argv, cap, entry",
+    [
+        (["estimate", "--T", "4", "--x", "0.5", "--n"], cli.MAX_REPLICAS, "estimate_tail_naive"),
+        (["lln", "--T-list", "4", "--eps", "0.5", "--n"], cli.MAX_REPLICAS, "sup_fraction_sweep"),
+        (["sweep", "--T-list", "4", "--x", "0.5", "--n"], cli.MAX_REPLICAS, "rate_curve_sweep"),
+        (["paths", "--T", "4", "--x", "0.5", "--n"], cli.MAX_REPLICAS, "collect_weighted_paths"),
+        (["paths", "--T", "4", "--x", "0.5", "--grid"], cli.MAX_GRID, "collect_weighted_paths"),
+        (["exact", "--T", "4", "--M"], cli.MAX_TRUNCATION, "exact_state_distribution"),
+        (["exact", "--T", "4", "--K"], cli.MAX_TRUNCATION, "exact_state_distribution"),
+        (["rate", "--grid"], cli.MAX_GRID, "terminal_rate"),
+        (["simulate", "--T", "4", "--grid"], cli.MAX_GRID, "scale_path"),
+    ],
+    ids=["estimate-n", "lln-n", "sweep-n", "paths-n", "paths-grid", "exact-M", "exact-K", "rate-grid",
+         "simulate-grid"],
+)
+def test_resource_knob_above_its_cap_is_rejected(capsys, monkeypatch, argv, cap, entry):
+    calls = []
+
+    def reached(*args, **kwargs):
+        calls.append(args)
+        raise _Reached
+
+    monkeypatch.setattr(cli, entry, reached)
+    with pytest.raises(_Reached):
+        main([*argv, str(cap)])
+    rc = main([*argv, str(cap + 1)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(calls) == 1
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    assert record["key"] == argv[-1].removeprefix("--")
 
 
 def test_missing_required_key_rejected(tmp_path, capsys):

@@ -175,6 +175,19 @@ def test_block_rows_are_paths(kernel):
         assert block.sup[r] == path.post_states.max(initial=0)
 
 
+@pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
+@pytest.mark.parametrize("tilt", [(0.0, 1.0, 1.0), (0.5, 2.0, 0.1)], ids=["identity", "tilted"])
+def test_block_reports_the_counts_it_drew_on_the_tilted_window(T, tilt):
+    s, theta1, theta2 = tilt
+    block = _decomposed_block(P111, T, replica_rng(37, 0), BLOCK, s, theta1, theta2)
+    # reference: each row's births and catastrophes whose merged time lies after s*T
+    late = (block.times > s * T) & (block.times < np.inf)
+    cats = np.count_nonzero(late & (block.kinds == EventKind.CATASTROPHE), axis=-1)
+    births, catastrophes = block.late
+    assert np.array_equal(births, np.count_nonzero(late, axis=-1) - cats)
+    assert np.array_equal(catastrophes, cats)
+
+
 def _argsort_merge(times, first_catastrophe_column):
     # reference: the stable argsort merge that the packed-key sort replaced;
     # births come first in the concatenation, so they win ties

@@ -177,7 +177,7 @@ def test_collected_weights_are_likelihood_ratios_of_their_replicas():
     total = 0.0
     for (start, stop), block in zip(_block_bounds(n), _tilted_blocks(T, tilt, n, seed)):
         _, w, hits = _replica_weights_and_hits(block, tilt, T, x)
-        block_weights = montecarlo._weight(*montecarlo._late_counts(block.times, block.kinds, at_T, T), at_T, P111, T)
+        block_weights = montecarlo._weight(*block.late, at_T, P111, T)
         assert np.array_equal(block_weights, w)
         sums = montecarlo._run_block((P111, T, at_T, "decomposed", seed, start, stop, event, None))
         h = np.where(hits, w, 0.0)
@@ -187,6 +187,14 @@ def test_collected_weights_are_likelihood_ratios_of_their_replicas():
         total += h.sum()
     samples = collect_weighted_paths(P111, T, x, tilt, n, seed)
     assert samples.total_weight == pytest.approx(total, rel=1e-12)
+
+
+def test_poisson_range_cause_survives_the_process_pool():
+    # each block checks the means it draws from, in the worker that runs it
+    with pytest.raises(ValueError, match="tilt multiplier theta1"):
+        estimate_tail_is(P111, 160.0, 0.5, TiltConfig(0.5, 1e300, None), 3000, 5, workers=2)
+    with pytest.raises(ValueError, match="horizon T"):
+        sample_terminal_states(P111, 1e300, 3000, 5, "subordinated", workers=2)
 
 
 def test_collected_paths_are_scaled_paths_of_their_replicas():
