@@ -33,13 +33,13 @@ from .model import (
     EventKind,
     ModelParams,
     SimSpec,
+    TiltConfig,
     optimal_path,
     scale_path,
     simulate_decomposed,
     simulate_subordinated,
 )
 from .montecarlo import (
-    TiltConfig,
     collect_weighted_paths,
     default_tilt,
     estimate_tail_is,
@@ -72,12 +72,14 @@ MAX_TRUNCATION = 10**6  # M and K: the state vector and the Poisson terms of the
 MAX_GRID = 10**4  # grid: rows x (grid + 1) integers per block of sampled paths
 
 
-def _at_most(cap: int):
-    """An integer cast that refuses values above ``cap``."""
+def _int_in(low: int, cap: int | None = None):
+    """An integer cast that refuses values below ``low`` or above ``cap``."""
 
     def cast(text: str) -> int:
         value = int(text)
-        if value > cap:
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        if cap is not None and value > cap:
             raise ValueError(f"must be <= {cap}, got {value}")
         return value
 
@@ -109,7 +111,7 @@ _COMMON = [
     Opt("mu", float, 1.0, "catastrophe weight"),
     Opt("alpha", float, 1.0, "event-clock rate"),
     Opt("seed", int, 0, "base seed, 64-bit unsigned"),
-    Opt("workers", int, 1, "worker processes for replica fan-out, >= 1"),
+    Opt("workers", _int_in(1), 1, "worker processes for replica fan-out, >= 1"),
     Opt("out", str, None, "output file (default: stdout)"),
     Opt("format", str, None, "output format", choices=("csv", "json")),
 ]
@@ -218,8 +220,6 @@ def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
     if not (math.isfinite(x_max) and x_max > 0):
         raise ConfigError(f"x must be finite and > 0, got {x_max}", key="x")
-    if cfg["grid"] < 1:
-        raise ConfigError(f"grid must be >= 1, got {cfg['grid']}", key="grid")
     rows = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]
@@ -310,7 +310,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("method", str, "subordinated", "path construction",
                 choices=("subordinated", "decomposed")),
-            Opt("grid", _at_most(MAX_GRID), None, "if set, emit the scaled path on this many steps"),
+            Opt("grid", _int_in(1, MAX_GRID), None, "if set, emit the scaled path on this many steps"),
         ],
     },
     "exact": {
@@ -319,8 +319,8 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "json",
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("M", _at_most(MAX_TRUNCATION), 64, "state truncation cap"),
-            Opt("K", _at_most(MAX_TRUNCATION), 60, "event-count truncation cap"),
+            Opt("M", _int_in(1, MAX_TRUNCATION), 64, "state truncation cap"),
+            Opt("K", _int_in(0, MAX_TRUNCATION), 60, "event-count truncation cap"),
             Opt("x", float, None, "if set, also report P(state/T >= x)"),
         ],
     },
@@ -330,7 +330,7 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "csv",
         "opts": [
             Opt("x", float, None, "largest deviation level (default 3*alpha)"),
-            Opt("grid", _at_most(MAX_GRID), 50, "number of grid points in (0, x]"),
+            Opt("grid", _int_in(1, MAX_GRID), 50, "number of grid points in (0, x]"),
         ],
     },
     "estimate": {
@@ -340,7 +340,7 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count"),
+            Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
             Opt("method", str, "naive", "estimator", choices=("naive", "is")),
             *_TILT,
         ],
@@ -352,7 +352,7 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
             Opt("eps", float, _REQUIRED, "exceedance level"),
-            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count per horizon"),
+            Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
         ],
     },
     "sweep": {
@@ -362,7 +362,7 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
             Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count per horizon"),
+            Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
             Opt("method", str, "is", "estimator", choices=("naive", "is")),
         ],
     },
@@ -373,8 +373,8 @@ _COMMANDS: dict[str, dict] = {
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
             Opt("x", float, _REQUIRED, "deviation level"),
-            Opt("n", _at_most(MAX_REPLICAS), 10000, "replica count"),
-            Opt("grid", _at_most(MAX_GRID), 100, "scaled-path grid steps"),
+            Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
+            Opt("grid", _int_in(1, MAX_GRID), 100, "scaled-path grid steps"),
             *_TILT,
         ],
     },
@@ -464,8 +464,6 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         if opt.default is _REQUIRED and cfg[opt.dest] is None:
             raise ConfigError(f"missing required key {opt.key!r}", key=opt.key)
 
-    if cfg["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}", key="workers")
     if cfg["format"] is None:
         cfg["format"] = _COMMANDS[command]["default_format"]
     return cfg

@@ -23,10 +23,11 @@ in-place sort: of its times for the jump chain, and of packed
 ``(time, kind)`` keys for the two streams, so that a birth comes before a
 catastrophe at the same time.  The order depends on the drawn values alone.
 The loop steps only the state; each row's largest state is read after it.
-The two-stream kernel is the one place that states the tilted window
-``(s*T, T]``: it reports the births and catastrophes it drew there.  Each
-kernel checks a Poisson mean just before drawing from it.  The simulators
-above are the one-replica block; the Monte Carlo estimators run blocks of
+:class:`TiltConfig` is the two-stream kernel's sampling measure: it states
+the tilted window ``(s*T, T]`` once and weighs the births and catastrophes
+each row drew there.  Each kernel checks a Poisson mean against one
+per-block event budget just before drawing from it.  The simulators above
+are the one-replica block; the Monte Carlo estimators run blocks of
 ``streams.BLOCK``.
 
 Paths are stored as change points only.  :func:`scale_path` produces the
@@ -38,7 +39,7 @@ for small levels, a straight line from the origin for large ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 import math
 
@@ -80,6 +81,61 @@ class ModelParams:
     def catastrophe_rate(self) -> float:
         """Catastrophe stream intensity alpha*mu/(lambda+mu)."""
         return self.alpha * self.mu / (self.lam + self.mu)
+
+
+@dataclass(frozen=True)
+class TiltConfig:
+    """The two-stream kernel's sampling measure, a piecewise-constant intensity change.
+
+    On the tilted window ``(s*T, T]`` (:meth:`window`, s = ``switch_time_s``)
+    the birth and catastrophe intensities are multiplied by ``theta1`` and
+    ``theta2``; :meth:`weight` is a replica's likelihood ratio from its counts
+    there.  Multipliers must be finite and positive: a zero intensity would
+    give unbounded likelihood ratios and break unbiasedness.  ``theta2=None``
+    is matched to the horizon (:meth:`at_horizon`).
+    """
+
+    switch_time_s: float = 0.0
+    theta1: float = 1.0
+    theta2: float | None = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.switch_time_s < 1.0:
+            raise ValueError(f"switch_time_s must lie in [0, 1), got {self.switch_time_s}")
+        theta2 = 1.0 if self.theta2 is None else self.theta2  # None is filled in per horizon
+        for name, theta in (("theta1", self.theta1), ("theta2", theta2)):
+            if not (math.isfinite(theta) and theta > 0):
+                raise ValueError(f"tilt multiplier {name} must be finite and > 0, got {theta}")
+
+    def window(self, T: float) -> tuple[float, float]:
+        """Start ``s*T`` and length of the tilted window ``(s*T, T]``, the one place they are written."""
+        start = self.switch_time_s * T
+        return start, T - start
+
+    def at_horizon(self, params: ModelParams, T: float) -> "TiltConfig":
+        """This tilt with a horizon-matched ``theta2`` filled in; a set ``theta2`` is kept.
+
+        If the tilted window expects r catastrophes, ``theta2 = 1/(1+r)``
+        leaves ``r/(1+r) < 1`` of them under the tilt.
+        """
+        if self.theta2 is not None:
+            return self
+        expected = params.catastrophe_rate * self.window(T)[1]
+        return replace(self, theta2=1.0 / (1.0 + expected))
+
+    @classmethod
+    def identity(cls) -> "TiltConfig":
+        return cls(0.0, 1.0, 1.0)
+
+    def weight(self, births, cats, params: ModelParams, T: float) -> np.ndarray:
+        """Likelihood ratios d(plain)/d(tilted) of replicas with these counts on the window."""
+        length = self.window(T)[1]
+        return np.exp(
+            (self.theta1 - 1.0) * params.birth_rate * length
+            - births * math.log(self.theta1)
+            + (self.theta2 - 1.0) * params.catastrophe_rate * length
+            - cats * math.log(self.theta2)
+        )
 
 
 @dataclass(frozen=True)
@@ -149,9 +205,9 @@ class _Block:
     its ``counts`` events; at equal times a birth comes before a catastrophe
     (:func:`_merge_streams`).  ``kinds`` is 0 on the padding and ``post``
     repeats the terminal state there; ``sup`` is read from ``post`` after the
-    loop.  ``late`` holds each row's births and catastrophes drawn on the
-    two-stream kernel's tilted window ``(s*T, T]`` (the whole horizon when
-    untilted); the jump chain is never tilted and leaves it ``None``.
+    loop.  ``late`` holds each row's births and catastrophes on the two-stream
+    kernel's tilted window (the whole horizon when untilted), the counts
+    :meth:`TiltConfig.weight` takes; the never-tilted jump chain leaves it ``None``.
     """
 
     times: np.ndarray
@@ -167,16 +223,19 @@ class _Block:
         return PathSample(self.times[row, :n], self.kinds[row, :n], self.post[row, :n])
 
 
-# numpy's Generator.poisson refuses larger means ("lam value too large")
-_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+# Most events one Poisson draw may expect over a block, rows x mean.  A
+# two-stream block peaks at 38-50 bytes per event in its time, key and state
+# matrices (tracemalloc at T = 160 and 40), so a block at the budget needs
+# about 0.3-0.4 GB; a horizon or tilt beyond it fails before any allocation.
+BLOCK_EVENT_BUDGET = 2**23
 
 
-def _check_mean(mean: float, cause: str) -> float:
-    """``mean`` if numpy's Poisson sampler takes it; otherwise name the input that put it out of range."""
-    if not mean <= _POISSON_MAX:
+def _check_mean(mean: float, rows: int, cause: str) -> float:
+    """``mean``, if ``rows`` draws of it expect at most the budget; otherwise name the input that set it."""
+    if not rows * mean <= BLOCK_EVENT_BUDGET:
         raise ValueError(
-            f"{cause} gives {mean:.3g} expected events per replica in one stream, "
-            f"beyond numpy's Poisson limit {_POISSON_MAX:.3g}"
+            f"{cause} gives {mean:.3g} expected events per replica in one stream, {rows * mean:.3g} "
+            f"in a block of {rows}, beyond the per-block budget of {BLOCK_EVENT_BUDGET} events"
         )
     return mean
 
@@ -253,7 +312,7 @@ def _drop_by(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator, rows: int) -> _Block:
     """Jump chain run at Poisson clock times, for a block of ``rows`` replicas."""
-    counts = rng.poisson(_check_mean(params.alpha * T, "horizon T"), size=rows)
+    counts = rng.poisson(_check_mean(params.alpha * T, rows, "horizon T"), size=rows)
     times = _padded_times(rng, counts, 0.0, T)
     times.sort(axis=1)
     kinds = np.zeros(times.shape, dtype=np.uint8)
@@ -264,36 +323,26 @@ def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator,
 
 
 def _decomposed_block(
-    params: ModelParams,
-    T: float,
-    rng: np.random.Generator,
-    rows: int,
-    switch_time_s: float = 0.0,
-    theta1: float = 1.0,
-    theta2: float = 1.0,
+    params: ModelParams, T: float, rng: np.random.Generator, rows: int, tilt: TiltConfig = TiltConfig()
 ) -> _Block:
-    """Two merged Poisson streams, for a block of ``rows`` replicas.
+    """Two merged Poisson streams under ``tilt`` (``theta2`` set), for a block of ``rows`` replicas.
 
-    On the late window ``(s*T, T]`` the birth and catastrophe intensities are
-    multiplied by ``theta1`` and ``theta2``; with the identity multipliers the
-    construction is the plain two-stream decomposition of the process.  The
-    block keeps the counts each row drew on that window as ``late``.
+    The identity tilt is the plain two-stream decomposition of the process.
+    The block keeps the counts each row drew on the tilted window as ``late``.
     """
     # the clock's alpha*T bounds every untilted stream, so only the tilted window can fail below
-    _check_mean(params.alpha * T, "horizon T")
+    _check_mean(params.alpha * T, rows, "horizon T")
+    start, length = tilt.window(T)
     r1, r2 = params.birth_rate, params.catastrophe_rate
-    segments = []
-    if switch_time_s > 0.0:
-        segments.append((0.0, switch_time_s * T, r1, r2))
-    segments.append((switch_time_s * T, T, theta1 * r1, theta2 * r2))
+    segments = [(0.0, start, r1, r2)] if start > 0.0 else []
+    segments.append((start, length, tilt.theta1 * r1, tilt.theta2 * r2))
 
     births, cats = [], []
-    for start, stop, rb, rc in segments:
-        length = stop - start
-        nb = rng.poisson(_check_mean(rb * length, "tilt multiplier theta1"), size=rows)
-        nc = rng.poisson(_check_mean(rc * length, "tilt multiplier theta2"), size=rows)
-        births.append(_padded_times(rng, nb, start, length))
-        cats.append(_padded_times(rng, nc, start, length))
+    for begin, span, rb, rc in segments:
+        nb = rng.poisson(_check_mean(rb * span, rows, "tilt multiplier theta1"), size=rows)
+        nc = rng.poisson(_check_mean(rc * span, rows, "tilt multiplier theta2"), size=rows)
+        births.append(_padded_times(rng, nb, begin, span))
+        cats.append(_padded_times(rng, nc, begin, span))
     first_catastrophe_column = sum(b.shape[1] for b in births)
     times, kinds, counts = _merge_streams(np.concatenate(births + cats, axis=1), first_catastrophe_column)
     return _run_events(times, kinds, counts, rng, _drop_by, late=(nb, nc))

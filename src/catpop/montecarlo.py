@@ -1,12 +1,12 @@
 """Monte Carlo estimation of rare deviations and law-of-large-numbers decay.
 
 Naive estimation simply counts qualifying replicas.  For genuinely rare
-events the importance sampler simulates the two-stream construction with
-tilted Poisson intensities shaped like the most probable deviation
-trajectory (idle, then climb), and corrects each replica by the exact
-likelihood ratio of the intensity change.  Catastrophe landing draws are
-identical under both measures, so only the two stream intensities enter the
-weight.
+events the importance sampler simulates the two-stream construction under a
+``model.TiltConfig`` shaped like the most probable deviation trajectory
+(idle, then climb), and corrects each replica by the exact likelihood ratio
+that the tilt computes from the counts its kernel drew.  Catastrophe
+landing draws are identical under both measures, so only the two stream
+intensities enter the weight.
 
 Replicas are simulated in blocks of ``streams.BLOCK``: block ``b`` runs
 replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through one block kernel on the
@@ -21,7 +21,7 @@ for any worker count and memory does not grow with the replica count; only
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 import os
 
@@ -32,6 +32,7 @@ from .model import (
     EventKind,
     ModelParams,
     PathSample,
+    TiltConfig,
     _decomposed_block,
     _grid_states,
     _subordinated_block,
@@ -40,47 +41,6 @@ from .paths import NoQualifyingSamplesError, WeightedPaths
 from .streams import BLOCK, check_seed, derive_seed, float_key, replica_rng
 
 _Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class TiltConfig:
-    """Piecewise-constant intensity change for the two event streams.
-
-    On the scaled window [switch_time_s, 1] the birth-stream intensity is
-    multiplied by ``theta1`` and the catastrophe-stream intensity by
-    ``theta2``.  Multipliers must be finite and positive: a zero intensity
-    would give unbounded likelihood ratios and break unbiasedness.
-    ``theta2=None`` matches the catastrophe damping to the horizon (see
-    :meth:`at_horizon`).
-    """
-
-    switch_time_s: float = 0.0
-    theta1: float = 1.0
-    theta2: float | None = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.switch_time_s < 1.0:
-            raise ValueError(f"switch_time_s must lie in [0, 1), got {self.switch_time_s}")
-        theta2 = 1.0 if self.theta2 is None else self.theta2  # None is filled in per horizon
-        for name, theta in (("theta1", self.theta1), ("theta2", theta2)):
-            if not (math.isfinite(theta) and theta > 0):
-                raise ValueError(f"tilt multiplier {name} must be finite and > 0, got {theta}")
-
-    def at_horizon(self, params: ModelParams, T: float) -> "TiltConfig":
-        """This tilt with a horizon-matched ``theta2`` filled in.
-
-        If the late window ``(s*T, T]`` expects ``r = catastrophe_rate*(1-s)*T``
-        catastrophes, ``theta2 = 1/(1+r)`` leaves ``r/(1+r) < 1`` of them
-        under the tilt.  A set ``theta2`` is kept.
-        """
-        if self.theta2 is not None:
-            return self
-        expected = params.catastrophe_rate * (1.0 - self.switch_time_s) * T
-        return replace(self, theta2=1.0 / (1.0 + expected))
-
-    @classmethod
-    def identity(cls) -> "TiltConfig":
-        return cls(0.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -121,25 +81,12 @@ def default_tilt(x: float, params: ModelParams) -> TiltConfig:
     return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), None)
 
 
-def _weight(
-    late_births: np.ndarray, late_cats: np.ndarray, tilt: TiltConfig, params: ModelParams, T: float
-) -> np.ndarray:
-    """Likelihood ratios d(plain)/d(tilted) of replicas with the given late-window counts."""
-    window = (1.0 - tilt.switch_time_s) * T
-    return np.exp(
-        (tilt.theta1 - 1.0) * params.birth_rate * window
-        - late_births * math.log(tilt.theta1)
-        + (tilt.theta2 - 1.0) * params.catastrophe_rate * window
-        - late_cats * math.log(tilt.theta2)
-    )
-
-
 def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T: float) -> float:
     """Importance weight of a path sampled under the tilted intensities, from its own events after ``s*T``."""
     tilt = tilt.at_horizon(params, T)
-    late = path.kinds[path.times > tilt.switch_time_s * T]
+    late = path.kinds[path.times > tilt.window(T)[0]]
     cats = np.count_nonzero(late == EventKind.CATASTROPHE)
-    return float(_weight(late.size - cats, cats, tilt, params, T))
+    return float(tilt.weight(late.size - cats, cats, params, T))
 
 
 def _fold_block(weights: np.ndarray, hits: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -157,10 +104,10 @@ def _run_block(args) -> np.ndarray:
     if construction == "subordinated":
         block = _subordinated_block(params, T, rng, stop - start)
     else:
-        block = _decomposed_block(params, T, rng, stop - start, tilt.switch_time_s, tilt.theta1, tilt.theta2)
+        block = _decomposed_block(params, T, rng, stop - start, tilt)
     if event is None:
         return block.terminal
-    weights = _weight(*block.late, tilt, params, T)
+    weights = tilt.weight(*block.late, params, T)
     rows = None if grid is None else _grid_states(block.times, block.post, grid)
     statistic, level = event
     return _fold_block(weights, getattr(block, statistic) >= level, rows)

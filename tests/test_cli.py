@@ -1,6 +1,8 @@
 import json
 import os
 from pathlib import Path
+import re
+import shlex
 import subprocess
 import sys
 
@@ -509,6 +511,62 @@ def test_resource_knob_above_its_cap_is_rejected(capsys, monkeypatch, argv, cap,
     assert record["error"] == "config"
     assert record["key"] == argv[-1].removeprefix("--")
 
+
+
+@pytest.mark.parametrize(
+    "argv, low, entry",
+    [
+        (["estimate", "--T", "4", "--x", "0.5", "--n"], 1, "estimate_tail_naive"),
+        (["lln", "--T-list", "4", "--eps", "0.5", "--n"], 1, "sup_fraction_sweep"),
+        (["sweep", "--T-list", "4", "--x", "0.5", "--n"], 1, "rate_curve_sweep"),
+        (["paths", "--T", "4", "--x", "0.5", "--n"], 1, "collect_weighted_paths"),
+        (["paths", "--T", "4", "--x", "0.5", "--grid"], 1, "collect_weighted_paths"),
+        (["exact", "--T", "4", "--M"], 1, "exact_state_distribution"),
+        (["exact", "--T", "4", "--K"], 0, "exact_state_distribution"),
+        (["rate", "--grid"], 1, "terminal_rate"),
+        (["simulate", "--T", "4", "--grid"], 1, "scale_path"),
+        (["estimate", "--T", "4", "--x", "0.5", "--workers"], 1, "estimate_tail_naive"),
+    ],
+    ids=["estimate-n", "lln-n", "sweep-n", "paths-n", "paths-grid", "exact-M", "exact-K", "rate-grid",
+         "simulate-grid", "estimate-workers"],
+)
+def test_resource_knob_below_its_range_is_rejected(capsys, monkeypatch, argv, low, entry):
+    calls = []
+
+    def reached(*args, **kwargs):
+        calls.append(args)
+        raise _Reached
+
+    monkeypatch.setattr(cli, entry, reached)
+    with pytest.raises(_Reached):
+        main([*argv, str(low)])
+    rc = main([*argv, str(low - 1)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(calls) == 1
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    assert record["key"] == argv[-1].removeprefix("--")
+
+
+def _readme_commands() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    # the "catpop {simulate | ...} [flags]" synopsis is not a command
+    return [line for block in blocks for line in block.splitlines() if line.startswith("catpop ") and "{" not in line]
+
+
+def test_readme_examples_parse():
+    # every documented command passes the same argument and configuration checks as a real run
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for line in commands:
+        try:
+            args = cli._parse_args(shlex.split(line)[1:])
+            cli._merge_config(args.command, args)
+        except cli.ConfigError as exc:
+            pytest.fail(f"{line}: {exc}")
 
 def test_missing_required_key_rejected(tmp_path, capsys):
     rc, _ = _run(tmp_path, "estimate", "--x", "0.5")

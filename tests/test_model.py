@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 
 from catpop.exact import chain_matrix, exact_state_distribution, total_variation
 from catpop.model import (
+    BLOCK_EVENT_BUDGET,
     EventKind,
     ModelParams,
     OptimalPath,
     PathSample,
     SimSpec,
+    TiltConfig,
     optimal_path,
     scale_path,
     simulate_decomposed,
     simulate_subordinated,
     sup_value,
     terminal_value,
+    _check_mean,
     _decomposed_block,
     _drop_by,
     _grid_states,
@@ -179,7 +182,7 @@ def test_block_rows_are_paths(kernel):
 @pytest.mark.parametrize("tilt", [(0.0, 1.0, 1.0), (0.5, 2.0, 0.1)], ids=["identity", "tilted"])
 def test_block_reports_the_counts_it_drew_on_the_tilted_window(T, tilt):
     s, theta1, theta2 = tilt
-    block = _decomposed_block(P111, T, replica_rng(37, 0), BLOCK, s, theta1, theta2)
+    block = _decomposed_block(P111, T, replica_rng(37, 0), BLOCK, TiltConfig(s, theta1, theta2))
     # reference: each row's births and catastrophes whose merged time lies after s*T
     late = (block.times > s * T) & (block.times < np.inf)
     cats = np.count_nonzero(late & (block.kinds == EventKind.CATASTROPHE), axis=-1)
@@ -187,6 +190,49 @@ def test_block_reports_the_counts_it_drew_on_the_tilted_window(T, tilt):
     assert np.array_equal(births, np.count_nonzero(late, axis=-1) - cats)
     assert np.array_equal(catastrophes, cats)
 
+
+
+@pytest.mark.parametrize("s, T", [(0.95, 160.0), (0.7, 40.0), (0.5, 4.0), (0.0, 160.0)])
+def test_tilt_states_its_window_once(monkeypatch, s, T):
+    # the draws, the horizon-matched damping and the weight's compensator use one window length
+    length = T - s * T
+    assert TiltConfig(s).window(T) == (s * T, length)
+    tilt = TiltConfig(s, 2.0, None).at_horizon(P111, T)
+    drawn = []
+
+    def spy(rng, counts, start, span):
+        drawn.append((start, span))
+        return _padded_times(rng, counts, start, span)
+
+    monkeypatch.setattr("catpop.model._padded_times", spy)
+    _decomposed_block(P111, T, replica_rng(5, 0), 4, tilt)
+    assert drawn[-2:] == [(s * T, length)] * 2  # the tilted births and catastrophes
+    assert tilt.theta2 == 1.0 / (1.0 + P111.catastrophe_rate * length)
+    compensator = (tilt.theta1 - 1.0) * P111.birth_rate * length + (tilt.theta2 - 1.0) * P111.catastrophe_rate * length
+    assert tilt.weight(0, 0, P111, T) == np.exp(compensator)
+
+
+def test_block_event_budget_scales_with_the_rows():
+    # one replica may expect what a block of BLOCK rows may not
+    assert _check_mean(2e4, 1, "horizon T") == 2e4
+    with pytest.raises(ValueError, match="horizon T"):
+        _check_mean(2e4, BLOCK, "horizon T")
+    assert BLOCK * 2e4 > BLOCK_EVENT_BUDGET >= 2e4
+
+
+@pytest.mark.parametrize("tilt, cause", [
+    (TiltConfig(0.0, 1.0, 1.0), "horizon T"),
+    (TiltConfig(0.5, 1e3, 1.0), "tilt multiplier theta1"),
+    (TiltConfig(0.5, 1.0, 1e3), "tilt multiplier theta2"),
+])
+def test_kernels_refuse_a_block_beyond_the_budget(tilt, cause):
+    # checked before anything is drawn or allocated
+    T = 2e4 if cause == "horizon T" else 160.0
+    with pytest.raises(ValueError, match=cause):
+        _decomposed_block(P111, T, replica_rng(5, 0), BLOCK, tilt)
+    if cause == "horizon T":
+        with pytest.raises(ValueError, match=cause):
+            _subordinated_block(P111, T, replica_rng(5, 0), BLOCK)
 
 def _argsort_merge(times, first_catastrophe_column):
     # reference: the stable argsort merge that the packed-key sort replaced;
@@ -221,7 +267,7 @@ def test_merge_matches_stable_argsort_on_blocks(monkeypatch, T, switch):
         return _merge_streams(times, first_catastrophe_column)
 
     monkeypatch.setattr("catpop.model._merge_streams", spy)
-    block = _decomposed_block(P111, T, replica_rng(71, 0), BLOCK, *switch)
+    block = _decomposed_block(P111, T, replica_rng(71, 0), BLOCK, TiltConfig(*switch))
     (times, first), = seen
     expected = _assert_merge_matches_argsort(times, first)
     assert np.array_equal(block.times, expected[0])

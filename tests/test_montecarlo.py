@@ -153,8 +153,7 @@ def _tilted_blocks(T, tilt, n, seed):
     # the block kernel's own rows for replicas [0, n), one block per stream
     tilt = tilt.at_horizon(P111, T)
     return [
-        _decomposed_block(P111, T, replica_rng(seed, start // BLOCK), stop - start,
-                          tilt.switch_time_s, tilt.theta1, tilt.theta2)
+        _decomposed_block(P111, T, replica_rng(seed, start // BLOCK), stop - start, tilt)
         for start, stop in _block_bounds(n)
     ]
 
@@ -167,17 +166,18 @@ def _replica_weights_and_hits(block, tilt, T, x):
     return paths, w, hits
 
 
-def test_collected_weights_are_likelihood_ratios_of_their_replicas():
+@pytest.mark.parametrize("x, T", [(0.5, 40.0), (0.05, 160.0)])
+def test_collected_weights_are_likelihood_ratios_of_their_replicas(x, T):
     # the estimators weight each replica by likelihood_ratio of the kernel's own path,
-    # and each block folds those weights where it is simulated
-    T, seed, n, x = 40.0, 71, 2_000, 0.5
+    # and each block folds those weights where it is simulated; at x = 0.05 s*T is inexact
+    seed, n = 71, 2_000
     tilt = default_tilt(x, P111)
     at_T = tilt.at_horizon(P111, T)
     event = ("terminal", tail_level(x, T))
     total = 0.0
     for (start, stop), block in zip(_block_bounds(n), _tilted_blocks(T, tilt, n, seed)):
         _, w, hits = _replica_weights_and_hits(block, tilt, T, x)
-        block_weights = montecarlo._weight(*block.late, at_T, P111, T)
+        block_weights = at_T.weight(*block.late, P111, T)
         assert np.array_equal(block_weights, w)
         sums = montecarlo._run_block((P111, T, at_T, "decomposed", seed, start, stop, event, None))
         h = np.where(hits, w, 0.0)
@@ -195,6 +195,15 @@ def test_poisson_range_cause_survives_the_process_pool():
         estimate_tail_is(P111, 160.0, 0.5, TiltConfig(0.5, 1e300, None), 3000, 5, workers=2)
     with pytest.raises(ValueError, match="horizon T"):
         sample_terminal_states(P111, 1e300, 3000, 5, "subordinated", workers=2)
+
+
+@pytest.mark.parametrize("construction", ["subordinated", "decomposed"])
+def test_horizon_beyond_the_block_budget_names_its_cause(construction):
+    # 2e4 expected events per replica fit one replica but not a block of BLOCK rows
+    with pytest.raises(ValueError, match="horizon T"):
+        sample_terminal_states(P111, 2e4, 2048, 5, construction)
+    with pytest.raises(ValueError, match="horizon T"):
+        estimate_tail_naive(P111, 2e4, 0.5, 2048, 5)
 
 
 def test_collected_paths_are_scaled_paths_of_their_replicas():
