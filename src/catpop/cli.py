@@ -101,10 +101,6 @@ class Opt:
     help: str
     choices: tuple | None = None
 
-    @property
-    def dest(self) -> str:
-        return self.key.replace("-", "_").replace("lambda", "lam")
-
 
 _COMMON = [
     Opt("lambda", float, 1.0, "growth weight"),
@@ -173,12 +169,12 @@ def _render_json(value, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-_TILT_FIELDS = {"tilt_s": "switch_time_s", "tilt_theta1": "theta1", "tilt_theta2": "theta2"}
+_TILT_FIELDS = {"tilt-s": "switch_time_s", "tilt-theta1": "theta1", "tilt-theta2": "theta2"}
 
 
 def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
     base = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig.identity()
-    overrides = {field: cfg[dest] for dest, field in _TILT_FIELDS.items() if cfg[dest] is not None}
+    overrides = {field: cfg[key] for key, field in _TILT_FIELDS.items() if cfg[key] is not None}
     return replace(base, **overrides).at_horizon(params, cfg["T"])
 
 
@@ -218,8 +214,8 @@ def _cmd_exact(cfg: dict, params: ModelParams):
 
 def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
-    if not (math.isfinite(x_max) and x_max > 0):
-        raise ConfigError(f"x must be finite and > 0, got {x_max}", key="x")
+    if not (math.isfinite(x_max * cfg["grid"]) and x_max > 0):
+        raise ConfigError(f"x must be > 0 with x*grid finite, got x={x_max}, grid={cfg['grid']}", key="x")
     rows = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]
@@ -233,6 +229,9 @@ def _cmd_rate(cfg: dict, params: ModelParams):
 def _cmd_estimate(cfg: dict, params: ModelParams):
     doc = {"T": cfg["T"], "x": cfg["x"], "n": cfg["n"], "method": cfg["method"]}
     if cfg["method"] == "naive":
+        for key in _TILT_FIELDS:
+            if cfg[key] is not None:
+                raise ConfigError(f"{key!r} sets the importance-sampling tilt; method 'naive' takes none", key=key)
         result = estimate_tail_naive(params, cfg["T"], cfg["x"], cfg["n"], cfg["seed"], cfg["workers"])
         doc["tilt"] = None
     else:
@@ -253,7 +252,7 @@ def _sweep_output(doc: dict, points, columns: list[str], values):
 
 
 def _cmd_lln(cfg: dict, params: ModelParams):
-    points = sup_fraction_sweep(params, cfg["eps"], cfg["T_list"], cfg["n"], cfg["seed"], cfg["workers"])
+    points = sup_fraction_sweep(params, cfg["eps"], cfg["T-list"], cfg["n"], cfg["seed"], cfg["workers"])
     columns = ["fraction", "ci_lo", "ci_hi", "n"]
     return _sweep_output({"eps": cfg["eps"]}, points, columns, lambda r, T: (r.p_hat, *r.ci95, r.n))
 
@@ -267,7 +266,7 @@ def _log_rate_values(result, T: float) -> tuple:
 
 def _cmd_sweep(cfg: dict, params: ModelParams):
     points = rate_curve_sweep(
-        params, cfg["x"], cfg["T_list"], cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
+        params, cfg["x"], cfg["T-list"], cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
     )
     doc = {"x": cfg["x"], "method": cfg["method"], "n": cfg["n"]}
     columns = ["log_rate", "log_rate_lo", "log_rate_hi", "p_hat", "std_err", "ess"]
@@ -397,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in _COMMON + spec["opts"]:
             # values stay raw strings here; _merge_config checks them like file values
             choices = f": {' or '.join(opt.choices)}" if opt.choices else ""
-            p.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help + choices)
+            p.add_argument(f"--{opt.key}", dest=opt.key, default=None, help=opt.help + choices)
     return parser
 
 
@@ -441,10 +440,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     file, but a malformed file value still fails even where a flag overrides it.
     """
     opts = {o.key: o for o in _COMMON + _COMMANDS[command]["opts"]}
-    cfg = {o.dest: (None if o.default is _REQUIRED else o.default) for o in opts.values()}
+    cfg = {key: (None if o.default is _REQUIRED else o.default) for key, o in opts.items()}
 
     given = list(_read_config_file(args.config).items()) if args.config is not None else []
-    given += [(o.key, getattr(args, o.dest)) for o in opts.values() if getattr(args, o.dest) is not None]
+    given += [(key, getattr(args, key)) for key in opts if getattr(args, key) is not None]
     for key, raw in given:
         if key not in opts:
             raise ConfigError(f"unknown configuration key {key!r}", key=key)
@@ -458,11 +457,11 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
                 f"bad value for {key!r}: expected one of {opt.choices}, got {value!r}",
                 key=key,
             )
-        cfg[opt.dest] = value
+        cfg[key] = value
 
-    for opt in opts.values():
-        if opt.default is _REQUIRED and cfg[opt.dest] is None:
-            raise ConfigError(f"missing required key {opt.key!r}", key=opt.key)
+    for key, opt in opts.items():
+        if opt.default is _REQUIRED and cfg[key] is None:
+            raise ConfigError(f"missing required key {key!r}", key=key)
 
     if cfg["format"] is None:
         cfg["format"] = _COMMANDS[command]["default_format"]
@@ -489,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         cfg = _merge_config(args.command, args)
-        params = ModelParams(lam=cfg["lam"], mu=cfg["mu"], alpha=cfg["alpha"])
+        params = ModelParams(lam=cfg["lambda"], mu=cfg["mu"], alpha=cfg["alpha"])
         body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
         if cfg["format"] == "json":
             params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}

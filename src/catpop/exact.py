@@ -22,6 +22,9 @@ import numpy as np
 from .model import ModelParams
 
 
+MAX_POISSON_WINDOW = 2**21  # terms of one Poisson window, about 70 MB at the peak; past the CLI's K cap
+
+
 class TruncationBudgetExceeded(RuntimeError):
     """The requested truncation cannot certify the caller's error budget."""
 
@@ -105,34 +108,28 @@ def _poisson_weights(rate: float, K: int) -> tuple[np.ndarray, float]:
     """Poisson(rate) probabilities of k = 0..K, and the probability of k > K.
 
     Terms are taken in log space, ``k ln(rate) - rate - lgamma(k+1)``, then
-    exponentiated, so a large rate underflows no term near its mode.  When K
-    reaches the mode, the terms are summed up to a point past both K and the
-    mode, where a geometric bound covers the rest, and divided by that total
-    (Fox & Glynn, CACM 31(4), 1988): the weights then sum to one to rounding,
-    and the mass beyond K is the direct sum of the terms past K, not a
-    difference of nearly equal numbers.  When K lies below the mode, every
-    kept term is below it, the kept terms sum to at most about 1/2, and the
-    mass beyond K is their complement with no loss of precision.
+    exponentiated, so a large rate underflows no term near its mode.  The
+    terms are summed up to a point past both K and the mode, where a
+    geometric bound covers the rest, and divided by that total (Fox & Glynn,
+    CACM 31(4), 1988): the weights then sum to one to rounding, and the mass
+    beyond K is the direct sum of the terms past K, not a difference of
+    nearly equal numbers.
     """
     if rate == 0.0:
         weights = np.zeros(K + 1)
         weights[0] = 1.0
         return weights, 0.0
-    if K < math.floor(rate):
-        terms = np.exp(_log_poisson_terms(rate, K))
-        return terms, 1.0 - float(terms.sum())
-    end = math.ceil(max(K + 1, rate) + 10.0 * math.sqrt(rate)) + 10
-    terms = np.exp(_log_poisson_terms(rate, end))
+    reach = max(K + 1, rate) + 10.0 * math.sqrt(rate)
+    if not reach <= MAX_POISSON_WINDOW:
+        raise ValueError(f"Poisson window of {reach:.3g} terms for rate {rate:.3g} exceeds {MAX_POISSON_WINDOW}")
+    end = math.ceil(reach) + 10
+    k = np.arange(end + 1, dtype=float)
+    terms = np.exp(k * math.log(rate) - rate - np.fromiter(map(math.lgamma, k + 1.0), float, k.size))
     q = rate / (end + 1)  # terms past `end` shrink at least geometrically by q < 1
     rest = float(terms[end]) * q / (1.0 - q)
     total = float(terms.sum()) + rest
     terms /= total
     return terms[: K + 1], float(terms[K + 1 :].sum()) + rest / total
-
-
-def _log_poisson_terms(rate: float, K: int) -> np.ndarray:
-    k = np.arange(K + 1, dtype=float)
-    return k * math.log(rate) - rate - np.array([math.lgamma(j + 1.0) for j in range(K + 1)])
 
 
 def exact_state_distribution(

@@ -36,6 +36,7 @@ from .model import (
     _decomposed_block,
     _grid_states,
     _subordinated_block,
+    optimal_path,
 )
 from .paths import NoQualifyingSamplesError, WeightedPaths
 from .streams import BLOCK, check_seed, derive_seed, float_key, replica_rng
@@ -64,21 +65,17 @@ class EstimateResult:
 
 
 def default_tilt(x: float, params: ModelParams) -> TiltConfig:
-    """Tilt that drives the process along the most probable path to level x.
+    """Tilt that drives the process along :func:`model.optimal_path` to level x.
 
-    Below the clock rate the birth stream is boosted to total intensity
-    ``alpha`` on the climb window; at or above it the whole horizon is tilted
-    so births arrive at intensity ``x``.  The catastrophe stream damping is
-    matched to the horizon of each run (:meth:`TiltConfig.at_horizon`).
-    A level so small that ``1 - x/alpha`` rounds to 1 gets the last switch
-    time below 1: a nearly empty tilted window with weights of about 1.
+    Births run at the trajectory's slope from its breakpoint on: the switch
+    time is the breakpoint and the birth multiplier is the slope over the
+    birth intensity.  The catastrophe stream damping is matched to the
+    horizon of each run (:meth:`TiltConfig.at_horizon`).  A level so small
+    that the breakpoint rounds to 1 gets the last switch time below 1: a
+    nearly empty tilted window with weights of about 1.
     """
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"deviation level x must be finite and > 0, got {x}")
-    lam, mu, alpha = params.lam, params.mu, params.alpha
-    if x < alpha:
-        return TiltConfig(min(1.0 - x / alpha, math.nextafter(1.0, 0.0)), (lam + mu) / lam, None)
-    return TiltConfig(0.0, x * (lam + mu) / (alpha * lam), None)
+    path = optimal_path(x, params)
+    return TiltConfig(min(path.breakpoint, math.nextafter(1.0, 0.0)), path.slope / params.birth_rate, None)
 
 
 def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T: float) -> float:

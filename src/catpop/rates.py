@@ -6,6 +6,9 @@ recovered by an independent numerical route, maximizing the two-variable
 objective ``variational_objective`` that arises from splitting the process
 into its birth and catastrophe streams; agreement of the two routes is an
 executable identity, not an implementation detail shared between them.
+Both routes, like the simulation kernels, read the stream intensities from
+``ModelParams`` (the birth intensity b = ``birth_rate``, the clock rate
+alpha) and share nothing else.
 
 The bound helpers are Chernoff-type inequalities for the catastrophe-stream
 lower tail and for lower tails of sums of uniform catastrophe sizes; the
@@ -43,38 +46,37 @@ class VariationalPoint:
 def terminal_rate(x: float, params: ModelParams) -> float:
     """Decay rate of P(scaled terminal value >= x); +inf for x < 0.
 
-    Piecewise: x*ln((lambda+mu)/lambda) below the clock rate alpha, and
-    x*ln(x*(lambda+mu)/(alpha*lambda)) - x + alpha at or above it.  The two
-    branches meet at x = alpha with matching value and slope.
+    With b the birth intensity, piecewise: x*ln(alpha/b) below the clock
+    rate alpha, and x*ln(x/b) - x + alpha at or above it.  The two branches
+    meet at x = alpha with matching value and slope.
     """
     if x < 0:
         return math.inf
-    lam, mu, alpha = params.lam, params.mu, params.alpha
+    b, alpha = params.birth_rate, params.alpha
     if x < alpha:
-        return x * math.log((lam + mu) / lam)
-    return x * math.log(x * (lam + mu) / (alpha * lam)) - x + alpha
+        return x * math.log(alpha / b)
+    return x * math.log(x / b) - x + alpha
 
 
 def birth_increment_rate(x: float, params: ModelParams, window_start: float = 0.0) -> float:
     """Decay rate of the scaled birth-stream increment over (window_start, 1].
 
     This is the Legendre transform of the cumulant of a Poisson variable with
-    mean alpha*lambda*(1-window_start)/(lambda+mu); it vanishes exactly at
+    mean b*(1-window_start), b the birth intensity; it vanishes exactly at
     that mean.
     """
     if not 0.0 <= window_start < 1.0:
         raise ValueError(f"window_start must lie in [0, 1), got {window_start}")
     if x < 0:
         return math.inf
-    lam, mu, alpha = params.lam, params.mu, params.alpha
-    mean = alpha * lam * (1.0 - window_start) / (lam + mu)
+    mean = params.birth_rate * (1.0 - window_start)
     if x == 0:
         return mean
-    return x * math.log(x * (lam + mu) / (alpha * lam * (1.0 - window_start))) - x + mean
+    return x * math.log(x / mean) - x + mean
 
 
 def variational_objective(y: float, z: float, params: ModelParams) -> float:
-    """The two-stream deviation objective -y*ln(y*(lam+mu)/(alpha*lam*z)) + y - alpha*z.
+    """The two-stream deviation objective -y*ln(y/(b*z)) + y - alpha*z, b the birth intensity.
 
     Defined for y >= 0 and z > 0, with the y*ln(y) -> 0 limit at y = 0.
     Concave in each argument; its constrained supremum over y >= x,
@@ -84,10 +86,10 @@ def variational_objective(y: float, z: float, params: ModelParams) -> float:
         raise ValueError(f"z must be > 0, got {z}")
     if y < 0:
         raise ValueError(f"y must be >= 0, got {y}")
-    lam, mu, alpha = params.lam, params.mu, params.alpha
+    b, alpha = params.birth_rate, params.alpha
     if y == 0:
         return -alpha * z
-    return -y * math.log(y * (lam + mu) / (alpha * lam * z)) + y - alpha * z
+    return -y * math.log(y / (b * z)) + y - alpha * z
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float):
@@ -132,8 +134,8 @@ def terminal_rate_variational(
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be finite and > 0, got {x}")
-    lam, mu, alpha = params.lam, params.mu, params.alpha
-    log_ratio = math.log((lam + mu) / (alpha * lam))
+    alpha = params.alpha
+    log_ratio = -math.log(params.birth_rate)
 
     evals = 0
 

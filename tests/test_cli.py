@@ -390,6 +390,51 @@ def test_rate_rejects_a_level_not_finite_and_positive(tmp_path, capsys, x):
     assert record["key"] == "x"
 
 
+def test_rate_level_whose_grid_overflows_is_keyed(tmp_path, capsys):
+    # x itself is finite; its grid point x*i/grid is not
+    rc, text = _run(tmp_path, "rate", "--x=1e308", "--grid", "50")
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "x"
+
+
+@pytest.mark.parametrize("key", ["tilt-s", "tilt-theta1", "tilt-theta2"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_naive_estimate_refuses_a_tilt(tmp_path, capsys, monkeypatch, key, source):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a tilt given to the naive estimator must be refused before simulating")
+
+    monkeypatch.setattr("catpop.cli.estimate_tail_naive", no_simulation)
+    argv = ["estimate", "--T", "4", "--x", "0.5", "--n", "100"]
+    if source == "flag":
+        argv += [f"--{key}", "0.5"]
+    else:
+        config = tmp_path / "tilt.cfg"
+        config.write_text(f"{key} = 0.5\n")
+        argv += ["--config", str(config)]
+    rc, text = _run(tmp_path, *argv)
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == key
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_config_is_keyed_by_option_names(command):
+    # one name per option: flag, config-file key, error key and cfg key
+    required = {"T": "4", "x": "0.5", "eps": "0.5", "T-list": "4,8"}
+    argv = [command]
+    for opt in cli._COMMANDS[command]["opts"]:
+        if opt.key in required:
+            argv += [f"--{opt.key}", required[opt.key]]
+    args = cli._parse_args(argv)
+    cfg = cli._merge_config(command, args)
+    assert set(cfg) == {opt.key for opt in cli._COMMON + cli._COMMANDS[command]["opts"]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catpop.exact import (
+    MAX_POISSON_WINDOW,
     Pmf,
     TruncationBudgetExceeded,
+    _poisson_weights,
     chain_matrix,
     exact_state_distribution,
     exact_tail_probability,
@@ -241,6 +243,25 @@ def test_poisson_tail_matches_scipy_at_large_rates(rate, k):
     # exp(-rate) underflows here; the log-space weights do not
     reference = scipy.stats.poisson.cdf(k, rate)
     assert poisson_lower_tail_exact(rate, k) == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("rate, K", [(60.0, 40), (800.0, 700), (5000.0, 4900)])
+def test_poisson_weights_below_the_mode_are_the_window_weights(rate, K):
+    # a cap below the mode keeps the normalised window of a cap past it
+    below, beyond = _poisson_weights(rate, K)
+    wide, _ = _poisson_weights(rate, int(2 * rate + 50))
+    nonzero = wide[: K + 1] > 0
+    assert np.array_equal(below > 0, nonzero)
+    rel = np.abs(below[nonzero] - wide[: K + 1][nonzero]) / wide[: K + 1][nonzero]
+    assert rel.max() <= 1e-15
+    assert beyond == pytest.approx(1.0 - wide[: K + 1].sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, T", [(1.0, MAX_POISSON_WINDOW), (1.0, 1e9), (10.0, 1e308)])
+def test_poisson_window_beyond_its_budget_is_refused(alpha, T):
+    # the window reaches past the mode, so a rate far above K still sizes it; alpha*T may overflow
+    with pytest.raises(ValueError, match="window"):
+        exact_state_distribution(ModelParams(1.0, 1.0, alpha), T, 64, 60)
 
 
 def test_total_variation_basics():

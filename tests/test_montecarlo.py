@@ -14,6 +14,7 @@ from catpop.model import (
     SimSpec,
     _decomposed_block,
     _grid_states,
+    optimal_path,
     scale_path,
     simulate_decomposed,
     terminal_value,
@@ -64,6 +65,19 @@ def test_default_tilt_below_clock_rate():
     # the late window (2, 4] expects one catastrophe; the tilt leaves half of one
     assert tilt.at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.5)
     assert replace(default_tilt(0.5, P111), theta2=0.05).at_horizon(P111, 4.0) == TiltConfig(0.5, 2.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [P111, ModelParams(2.0, 3.0, 1.5), ModelParams(0.5, 2.0, 1.0), ModelParams(0.3, 0.7, 2.5)],
+    ids=["111", "2-3-1.5", "0.5-2-1", "0.3-0.7-2.5"],
+)
+def test_default_tilt_is_the_optimal_path(params):
+    # births run at the trajectory's slope from its breakpoint on, to the last bit
+    for x in np.linspace(0.06, 3.0, 50) * params.alpha:
+        path = optimal_path(float(x), params)
+        expected = TiltConfig(min(path.breakpoint, math.nextafter(1.0, 0.0)), path.slope / params.birth_rate, None)
+        assert default_tilt(float(x), params) == expected
 
 
 def test_default_tilt_above_clock_rate():

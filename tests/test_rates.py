@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catpop.exact import poisson_lower_tail_exact, uniform_sum_tail_exact
-from catpop.model import ModelParams
+from catpop.model import ModelParams, optimal_path
 from catpop.rates import (
     OptimizerConvergenceError,
     birth_increment_rate,
@@ -25,6 +25,20 @@ positive_params = st.builds(
     st.floats(0.1, 10.0),
     st.floats(0.1, 10.0),
 )
+
+
+@pytest.mark.parametrize(
+    "params", [P111, ModelParams(2.0, 3.0, 1.5), ModelParams(0.5, 2.0, 1.0)], ids=["111", "2-3-1.5", "0.5-2-1"]
+)
+def test_optimal_path_carries_the_rate(params):
+    # the rate is the cost of the trajectory: idle for free, then births at its slope s
+    # against the birth intensity b while the catastrophe stream (intensity c) stays silent
+    b, c = params.birth_rate, params.catastrophe_rate
+    for x in np.linspace(0.06, 3.0, 50) * params.alpha:
+        path = optimal_path(float(x), params)
+        s = path.slope
+        cost = (1.0 - path.breakpoint) * (s * math.log(s / b) - s + b + c)
+        assert terminal_rate(float(x), params) == pytest.approx(cost, rel=1e-12, abs=0.0)
 
 
 def test_terminal_rate_branches():
