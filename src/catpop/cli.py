@@ -6,8 +6,9 @@ arrive as raw strings and pass the same checks (known key, cast, allowed
 choices), so a malformed value fails with the same keyed record wherever
 it came from.  Each command builds its JSON document and its CSV rows
 once; ``main`` adds the shared ``command``/``params`` head.  Output is CSV
-(fixed, documented columns with a header row) or JSON, with floats
-serialized to 17 significant digits so files are bit-stable regression
+(fixed, documented columns with a header row, floats to 17 significant
+digits) or JSON (floats as Python's shortest round-trip ``repr``), so every
+float reads back bit for bit and files are bit-stable regression
 fixtures.  All randomness derives from the single ``--seed`` value; the
 worker count never changes an output byte.
 
@@ -138,34 +139,10 @@ def _render_csv(header: list[str], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def _render_json(value, level: int = 0) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "NaN"
-        if math.isinf(v):
-            return "Infinity" if v > 0 else "-Infinity"
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = [_render_json(v, level + 1) for v in value]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(value, dict):
-        items = [f'{inner}"{k}": {_render_json(v, level + 1)}' for k, v in value.items()]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+def _plain(value):
+    """The JSON writer's fallback: numpy arrays and scalars become Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -173,9 +150,15 @@ _TILT_FIELDS = {"tilt-s": "switch_time_s", "tilt-theta1": "theta1", "tilt-theta2
 
 
 def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
-    base = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig.identity()
-    overrides = {field: cfg[key] for key, field in _TILT_FIELDS.items() if cfg[key] is not None}
-    return replace(base, **overrides).at_horizon(params, cfg["T"])
+    tilt = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig.identity()
+    for key, field in _TILT_FIELDS.items():
+        if cfg[key] is not None:
+            # one override at a time onto a valid tilt, so a failed check is this key's
+            try:
+                tilt = replace(tilt, **{field: cfg[key]})
+            except ValueError as exc:
+                raise ConfigError(str(exc), key=key) from exc
+    return tilt.at_horizon(params, cfg["T"])
 
 
 def _cmd_simulate(cfg: dict, params: ModelParams):
@@ -214,8 +197,9 @@ def _cmd_exact(cfg: dict, params: ModelParams):
 
 def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
-    if not (math.isfinite(x_max * cfg["grid"]) and x_max > 0):
-        raise ConfigError(f"x must be > 0 with x*grid finite, got x={x_max}, grid={cfg['grid']}", key="x")
+    # the rate increases with x, so a finite rate at x_max bounds the whole grid
+    if not (math.isfinite(x_max * cfg["grid"]) and x_max > 0 and math.isfinite(terminal_rate(x_max, params))):
+        raise ConfigError(f"x must be > 0 with finite x*grid and rate, got x={x_max}, grid={cfg['grid']}", key="x")
     rows = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]
@@ -492,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
         body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
         if cfg["format"] == "json":
             params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
-            text = _render_json({"command": args.command, "params": params_doc, **body}) + "\n"
+            doc = {"command": args.command, "params": params_doc, **body}
+            text = json.dumps(doc, indent=2, default=_plain) + "\n"
         else:
             text = _render_csv(header, rows)
         _emit(text, cfg["out"])

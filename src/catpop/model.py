@@ -189,7 +189,6 @@ class OptimalPath:
 
     breakpoint: float
     slope: float
-    terminal: float
 
     def values(self, grid: np.ndarray) -> np.ndarray:
         """Evaluate the trajectory on scaled times in [0, 1]."""
@@ -414,5 +413,5 @@ def optimal_path(x: float, params: ModelParams) -> OptimalPath:
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"deviation level x must be finite and > 0, got {x}")
     if x < params.alpha:
-        return OptimalPath(breakpoint=1.0 - x / params.alpha, slope=params.alpha, terminal=x)
-    return OptimalPath(breakpoint=0.0, slope=x, terminal=x)
+        return OptimalPath(breakpoint=1.0 - x / params.alpha, slope=params.alpha)
+    return OptimalPath(breakpoint=0.0, slope=x)

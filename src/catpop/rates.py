@@ -151,7 +151,9 @@ def terminal_rate_variational(
     ys = np.geomspace(x, y_hi, 48)
     zs = np.geomspace(z_lo, 1.0, 48)
     yy, zz = np.meshgrid(ys, zs, indexing="ij")
-    ff = -yy * (np.log(yy / zz) + log_ratio) + yy - alpha * zz
+    # near the float limit a cell's y*log(y/z) overflows; that cell is -inf, never the maximum
+    with np.errstate(over="ignore"):
+        ff = -yy * (np.log(yy / zz) + log_ratio) + yy - alpha * zz
     evals += ff.size
     flat = int(np.argmax(ff))
     y_best = float(yy.flat[flat])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 import re
@@ -86,7 +87,7 @@ def test_exact_json_schema_and_roundtrip(tmp_path):
     jsonschema.validate(doc, EXACT_SCHEMA)
     assert abs(sum(doc["masses"]) + doc["truncation_error"] - 1.0) < 1e-12
     assert doc["tail_probability"] == pytest.approx(0.364847004572957, abs=1e-14)
-    # 17-significant-digit serialization re-parses to the same double
+    # shortest round-trip floats re-parse to the same double
     assert json.loads(json.dumps(doc)) == doc
 
 
@@ -400,6 +401,36 @@ def test_rate_level_whose_grid_overflows_is_keyed(tmp_path, capsys):
     assert record["key"] == "x"
 
 
+def test_rate_level_whose_rate_overflows_is_keyed(tmp_path, capsys):
+    # x and x*grid are finite; the closed-form rate at x is not
+    rc, text = _run(tmp_path, "rate", "--x=1e306", "--grid", "5")
+    assert rc == 2
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert record["key"] == "x"
+
+
+@pytest.mark.parametrize("flag, value", [("tilt-s", "1"), ("tilt-theta1", "0"), ("tilt-theta2", "inf")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--method", "is"],
+        ["paths", "--T", "4", "--x", "0.5", "--n", "10"],
+    ],
+    ids=["estimate", "paths"],
+)
+def test_bad_tilt_value_is_keyed_by_its_flag(tmp_path, capsys, argv, flag, value):
+    rc, text = _run(tmp_path, *argv, f"--{flag}", value)
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == flag
+
+
 @pytest.mark.parametrize("key", ["tilt-s", "tilt-theta1", "tilt-theta2"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_naive_estimate_refuses_a_tilt(tmp_path, capsys, monkeypatch, key, source):
@@ -638,16 +669,19 @@ def test_invalid_model_parameter_rejected(tmp_path):
         ["sweep", "--T-list", "4,8", "--x", "0.5", "--n", "300"],
         ["paths", "--T", "20", "--x", "0.5", "--n", "1500"],
         ["lln", "--T-list", "4,-1", "--eps", "0.5", "--n", "300"],
+        ["estimate", "--T", "4", "--x", "0", "--n", "500", "--method", "is"],
     ],
 )
 def test_every_json_output_reparses_to_equal_value(tmp_path, argv):
-    from catpop.cli import _render_json
-
     rc, text = _run(tmp_path, *argv, "--format", "json")
     assert rc == 0
     doc = json.loads(text)
-    # 17-significant-digit floats round-trip bit for bit
-    assert _render_json(doc) + "\n" == text
+    # shortest round-trip floats read back bit for bit, whole and signed zero ones as floats
+    assert json.dumps(doc, indent=2) + "\n" == text
+    if argv[:5] == ["estimate", "--T", "4", "--x", "0"]:
+        # every replica reaches x = 0, so log_rate = -ln(1)/T = -0.0
+        assert type(doc["T"]) is float
+        assert math.copysign(1.0, doc["log_rate"]) == -1.0 and doc["log_rate"] == 0.0
 
 
 def test_console_entry_point_runs():

@@ -464,7 +464,7 @@ def test_optimal_path_terminal_value(x, alpha):
 
 
 def test_optimal_path_zero_before_breakpoint():
-    trajectory = OptimalPath(breakpoint=0.4, slope=2.0, terminal=1.2)
+    trajectory = OptimalPath(breakpoint=0.4, slope=2.0)
     grid = np.linspace(0.0, 1.0, 11)
     values = trajectory.values(grid)
     assert np.all(values[grid <= 0.4] == 0.0)

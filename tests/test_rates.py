@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_variational_identity_on_grid():
             expected_z = min(float(x) / params.alpha, 1.0)
             assert abs(argmax.y - float(x)) <= 1e-6
             assert abs(argmax.z - expected_z) <= 2e-6
+
+
+@pytest.mark.parametrize(
+    "params", [P111, ModelParams(2.0, 3.0, 1.5), ModelParams(0.5, 2.0, 1.0)], ids=["111", "2-3-1.5", "0.5-2-1"]
+)
+def test_variational_near_the_float_limit(params):
+    # the rate at 2e305 is finite, but some coarse-grid cells overflow there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, _ = terminal_rate_variational(2e305, params)
+    assert math.isclose(value, terminal_rate(2e305, params), rel_tol=1e-12)
 
 
 def test_variational_rejects_bad_input_and_budget():
