@@ -87,6 +87,14 @@ def _int_in(low: int, cap: int | None = None):
     return cast
 
 
+def _positive(text: str) -> float:
+    """A float cast that refuses values that are not finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def _parse_T_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -104,9 +112,9 @@ class Opt:
 
 
 _COMMON = [
-    Opt("lambda", float, 1.0, "growth weight"),
-    Opt("mu", float, 1.0, "catastrophe weight"),
-    Opt("alpha", float, 1.0, "event-clock rate"),
+    Opt("lambda", _positive, 1.0, "growth weight, finite and > 0"),
+    Opt("mu", _positive, 1.0, "catastrophe weight, finite and > 0"),
+    Opt("alpha", _positive, 1.0, "event-clock rate, finite and > 0"),
     Opt("seed", int, 0, "base seed, 64-bit unsigned"),
     Opt("workers", _int_in(1), 1, "worker processes for replica fan-out, >= 1"),
     Opt("out", str, None, "output file (default: stdout)"),
@@ -258,8 +266,6 @@ def _cmd_sweep(cfg: dict, params: ModelParams):
 
 
 def _cmd_paths(cfg: dict, params: ModelParams):
-    if not (math.isfinite(cfg["x"]) and cfg["x"] > 0):
-        raise ConfigError(f"deviation level x must be finite and > 0, got {cfg['x']}", key="x")
     tilt = _resolve_tilt(cfg, params)
     samples = collect_weighted_paths(
         params, cfg["T"], cfg["x"], tilt, cfg["n"], cfg["seed"], cfg["grid"], cfg["workers"]
@@ -334,7 +340,7 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "csv",
         "opts": [
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
-            Opt("eps", float, _REQUIRED, "exceedance level"),
+            Opt("eps", _positive, _REQUIRED, "exceedance level, finite and > 0"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
         ],
     },
@@ -355,7 +361,7 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "csv",
         "opts": [
             Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("x", float, _REQUIRED, "deviation level"),
+            Opt("x", _positive, _REQUIRED, "deviation level, finite and > 0"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
             Opt("grid", _int_in(1, MAX_GRID), 100, "scaled-path grid steps"),
             *_TILT,

@@ -18,11 +18,16 @@ Two independent constructions of the same process are provided:
 
 Each construction is one block kernel: a call simulates a block of replicas
 from one generator, one row per replica, and steps every row through its
-sorted events one event column at a time.  A row's events are sorted by one
+sorted events catastrophe by catastrophe.  A row's events are sorted by one
 in-place sort: of its times for the jump chain, and of packed
 ``(time, kind)`` keys for the two streams, so that a birth comes before a
 catastrophe at the same time.  The order depends on the drawn values alone.
-The loop steps only the state; each row's largest state is read after it.
+Births only add one each, so the loop visits each row's k-th catastrophe,
+k = 0, 1, ..., reads the births since the row's previous one from its
+column, and draws the landings in (catastrophe rank, row) order: time order
+for a one-row block.  Each row's last and largest states come out of that
+loop; the state after every event is one cumulative sum, built only for
+the callers that read it.
 :class:`TiltConfig` is the two-stream kernel's sampling measure: it states
 the tilted window ``(s*T, T]`` once and weighs the births and catastrophes
 each row drew there.  Each kernel checks a Poisson mean against one
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
 import math
 
 import numpy as np
@@ -202,20 +208,33 @@ class _Block:
 
     ``times`` holds each row's sorted event times, padded with ``+inf`` past
     its ``counts`` events; at equal times a birth comes before a catastrophe
-    (:func:`_merge_streams`).  ``kinds`` is 0 on the padding and ``post``
-    repeats the terminal state there; ``sup`` is read from ``post`` after the
-    loop.  ``late`` holds each row's births and catastrophes on the two-stream
-    kernel's tilted window (the whole horizon when untilted), the counts
-    :meth:`TiltConfig.weight` takes; the never-tilted jump chain leaves it ``None``.
+    (:func:`_merge_streams`).  ``kinds`` is 0 on the padding.  ``terminal`` and
+    ``sup`` are each row's last and largest states.  ``jumps`` holds the flat
+    index in ``times`` of every catastrophe and the state change it made,
+    from which :attr:`post` is built on first use.  ``late`` holds each row's
+    births and catastrophes on the two-stream kernel's tilted window (the
+    whole horizon when untilted), the counts :meth:`TiltConfig.weight` takes;
+    the never-tilted jump chain leaves it ``None``.
     """
 
     times: np.ndarray
     kinds: np.ndarray
     counts: np.ndarray
-    post: np.ndarray
     terminal: np.ndarray
     sup: np.ndarray
+    jumps: tuple[np.ndarray, np.ndarray]
     late: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def post(self) -> np.ndarray:
+        """State after each event, repeating the terminal state on the padding: one cumulative sum.
+
+        Every event adds one except a catastrophe, which adds its jump.
+        """
+        post = (np.arange(self.times.shape[1]) < self.counts[:, None]).astype(np.int64)
+        positions, jumps = self.jumps
+        post.flat[positions] = jumps
+        return np.cumsum(post, axis=1, out=post)
 
     def path(self, row: int) -> PathSample:
         n = int(self.counts[row])
@@ -243,8 +262,12 @@ def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, le
     """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r."""
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     times = np.full(live.shape, np.inf)
-    # 1 - U keeps the arrival times inside (start, stop]
-    times[live] = start + length * (1.0 - rng.random(int(counts.sum())))
+    # start + length*(1 - U), in place: 1 - U keeps the arrival times inside (start, stop]
+    u = rng.random(int(counts.sum()))
+    np.subtract(1.0, u, out=u)
+    u *= length
+    u += start
+    times[live] = u
     return times
 
 
@@ -266,7 +289,9 @@ def _merge_streams(times: np.ndarray, first_catastrophe_column: int) -> tuple[np
     keys[:, first_catastrophe_column:] |= 1
     keys.sort(axis=1)
     keys = keys[:, :counts.max(initial=0)]
-    kinds = (keys & 1).astype(np.uint8)
+    # the cast keeps the low byte, so no full-width uint64 temporary is made
+    kinds = keys.astype(np.uint8)
+    kinds &= 1
     keys >>= 1
     times = keys.view(np.float64)
     # the catastrophe columns' padding carries kind 1 up to here
@@ -275,28 +300,54 @@ def _merge_streams(times: np.ndarray, first_catastrophe_column: int) -> tuple[np
 
 
 def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
-    """Step every row of a block through its sorted events, one event column at a time.
+    """Step every row of a block through its sorted events, catastrophe by catastrophe.
 
     Rows come sorted from one in-place sort (:func:`_merge_streams` for the
     two streams, births first on ties), with ``kinds`` 0 on the padding.
 
     A birth, or any event of the empty population, adds one; a catastrophe
     at level m draws u uniform on {0, ..., m-1} (``Generator.integers`` with
-    an array bound, unbiased per element) and moves to ``land(m, u)``.
+    an array bound, unbiased per element) and moves to ``land(m, u)``.  Only
+    catastrophes need the state, so the loop visits each row's k-th
+    catastrophe for k = 0, 1, ... and reads the births before it from its
+    column: the landing draws are taken in (catastrophe rank, row) order,
+    which for a one-row block is time order.  The state after every event is left to :attr:`_Block.post`.
     """
     rows, width = times.shape
-    live = np.ascontiguousarray((np.arange(width) < counts[:, None]).T)
-    cats = np.ascontiguousarray(kinds.T == EventKind.CATASTROPHE)
-    state = np.zeros(rows, dtype=np.int64)
-    post = np.empty((width, rows), dtype=np.int64)
-    for c in range(width):
-        hit = cats[c] & (state > 0)
-        state += live[c] & ~hit
-        if hit.any():
-            m = state[hit]
-            state[hit] = land(m, rng.integers(0, m))
-        post[c] = state
-    return _Block(times, kinds, counts, post.T, state, post.max(axis=0, initial=0), late)
+    # the catastrophes' flat indices, row by row and each row in time order
+    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
+    row = flat // width
+    per_row = np.bincount(row, minlength=rows)
+    ranks = int(per_row.max(initial=0))
+    # rank k holds, in row order, the k-th catastrophe of each row that has one
+    ranked = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
+    rank = ranked // rows
+    row = ranked - rank * rows
+    flat = flat[(per_row.cumsum() - per_row)[row] + rank]
+    births = flat - row * width - rank  # before the catastrophe: its column less its rank
+    bounds = rank.searchsorted(np.arange(ranks + 1)).tolist()
+    # a row's state after its latest catastrophe, less the births before that catastrophe
+    offset = np.zeros(rows, dtype=np.int64)
+    before = np.empty(rank.size, dtype=np.int64)
+    after = np.empty(rank.size, dtype=np.int64)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        r, born = row[a:b], births[a:b]
+        m = offset[r]
+        m += born
+        before[a:b] = m
+        drop = m.nonzero()[0]
+        from_m = m[drop]
+        if drop.size < m.size:
+            m[m == 0] = 1  # the empty population moves to 1
+        m[drop] = land(from_m, rng.integers(0, from_m))
+        after[a:b] = m
+        m -= born
+        offset[r] = m
+    terminal = offset + counts - per_row
+    # a row's largest state is its last or one just before a catastrophe
+    sup = terminal.copy()
+    np.maximum.at(sup, row, before)
+    return _Block(times, kinds, counts, terminal, sup, (flat, after - before), late)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -15,12 +15,15 @@ folded in the worker that simulated it to a few sums: with h = w·1{event},
 Σh, Σh², Σw and Σw², plus Σh·row over the grid rows for conditioned paths.
 The block sums are added in block order, so the final figures are identical
 for any worker count and memory does not grow with the replica count; only
-:func:`sample_terminal_states` returns one value per replica.
+:func:`sample_terminal_states` returns one value per replica.  Pool workers
+keep the memory one block frees for the next (:func:`_keep_heap`); the
+calling process is left as it is.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+import ctypes
 from dataclasses import dataclass
 import math
 import os
@@ -129,6 +132,37 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
 
 
+# glibc's mallopt parameters (malloc.h) and the values a worker keeps its heap with
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_HEAP = ((_M_TRIM_THRESHOLD, 1 << 30), (_M_MMAP_THRESHOLD, 32 << 20))
+
+
+def _mallopt():
+    """glibc's ``mallopt`` through ``ctypes``, or ``None`` where the C library has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _keep_heap() -> None:
+    """Pool initializer: a worker keeps the memory its blocks free, instead of returning it to the system.
+
+    By default glibc trims the top of the heap, and unmaps large arrays, as
+    soon as they are freed, so the next block page-faults the same memory
+    back in.  A fixed mmap threshold of 32 MiB, glibc's largest, puts a
+    block's arrays on the heap, and a trim threshold of 1 GiB keeps it there.
+    Without ``mallopt`` this does nothing.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        for param, value in _KEEP_HEAP:
+            mallopt(param, value)
+
+
 def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, grid=None) -> np.ndarray:
     """Run n replicas block by block, possibly across processes; merge in block order.
 
@@ -145,7 +179,7 @@ def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, g
     if workers == 1:
         blocks = [_run_block(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap) as pool:
             blocks = list(pool.map(_run_block, args))
     return np.concatenate(blocks) if event is None else sum(blocks)  # sum adds in block order
 

@@ -29,23 +29,23 @@ CONTRACT = [
     ("rate --grid 5 --x 2", "2239705beb133c42b7361536e5b0c3d947b95f93fe52a2698131bfe2e83673b2"),
     ("rate --format json", "a227e7796542a2558569ada264b7b450f82b6f63cda12fe8e225d290feed7f91"),
     ("estimate --T 4 --x 0.5 --n 2000 --seed 7 --method is",
-     "0f117635fb76b03b27a0e48229dd5e0969b872553bcf29ab0199373db2e73c79"),
-    ("estimate --T 4 --x 0.5 --n 2000 --seed 7", "ea4da0030b378a6a0ee494ff02493b1cc875f2eecee49d5355b35e88ee8af133"),
+     "03d6ef72c1b8c51817e23bc27143d348e757206d64581341e3872ebe05b02091"),
+    ("estimate --T 4 --x 0.5 --n 2000 --seed 7", "9cbc12b1c0688704a744d31f9a93bc4e367b2cb05c351dae3ed7e5820d79460a"),
     ("estimate --T 4 --x 0 --n 500 --method is", "02684f18e1dea16decd9cac064b048bcb80b40799f13bc6189602bd9df7131b9"),
-    ("lln --T-list 4,8 --eps 0.5 --n 500 --seed 7", "d0530b92dfff292dc033a61021fb65e33dc1be5f4d78234277c80e8753ef205a"),
+    ("lln --T-list 4,8 --eps 0.5 --n 500 --seed 7", "5c379997450d392a1eef22db59e732d647c9a4c5e5334925067d0fc5862cbce2"),
     ("lln --T-list 4,8 --eps 0.5 --n 500 --seed 7 --format json",
-     "cb7f424ec4a57a43ec7d3e4d671423f16d399528dddf1551290521b5c6ec59de"),
-    ("sweep --T-list 4,8 --x 0.5 --n 500 --seed 7", "b074edff6996b5c4a0f9fd16e3b77ab516d8245973433dff97428cd424e26390"),
+     "23dde8fac65b749bf15c8a2cdb381545a819a13ba5197efdbf76bc1ae4d35b2c"),
+    ("sweep --T-list 4,8 --x 0.5 --n 500 --seed 7", "0ba505ff86564edad898a20fd942ff558850d15083ea9125f03a1c4208ac0ab5"),
     ("sweep --T-list 4,8 --x 0.5 --n 500 --seed 7 --format json",
-     "31ac1e05ae0e03695bc0f2846adb5dc403f04cd6d3a0e93132b6a5c6ca73eefb"),
-    ("paths --T 20 --x 0.5 --n 2000 --seed 7", "ee3432015f1e053c89b5ba61880035772b43a49cd4f35037000245cea86cfdaf"),
+     "cef564c8aaaf0a5157cea6f98e473a670093f426ca91b35a227051d5ca0d3674"),
+    ("paths --T 20 --x 0.5 --n 2000 --seed 7", "5c8885ad7dc73b7f74d0c993f0ac5d85a7ca2f7d9cb8741e568933e890ea01fe"),
     ("paths --T 20 --x 0.5 --n 2000 --seed 7 --format json",
-     "20d35af875144bfd8da1e3017f1431e3f615e2eb214206e9aaa984486273c1fd"),
+     "080482fb9f42c88228f6809b9b4f22919dbbbde9229293e944e20fa5f52960b5"),
     ("estimate --T 160 --x 0.5 --method is --n 10000 --seed 11",
-     "13b20d322162a4cacba049b5989e47fe3d1d59758f88213490ce8ec90730dabc"),
+     "cedb1ea907203986383e33d849665a3bcc39a5c61859fd4de735b5735d71e6b9"),
     ("estimate --T 160 --x 2 --method is --n 10000 --seed 11",
-     "af7c07306b63f310bce5c285cba036bde9d7d1a683b3b5817636e9e6bd9c1493"),
-    ("paths --T 160 --x 0.5 --n 10000 --seed 11", "e5cb0d86610179916bc327f188c7e0c6e65b92e817e6a434d00b5b2d76dbbcb2"),
+     "a4b088137b2c4b1a4e1d5b6c28809dbc33f0f319082e4d6d6b9aa63b3dd639a9"),
+    ("paths --T 160 --x 0.5 --n 10000 --seed 11", "6fbba812e96b9343188604ec3c7b1d5e171349535952c7bc2e0c8ce61691fc8a"),
 ]
 
 

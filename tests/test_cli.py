@@ -658,6 +658,26 @@ def test_invalid_model_parameter_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["estimate", "--T", "4", "--x", "0.5"], "lambda", "-1"),
+        (["estimate", "--T", "4", "--x", "0.5"], "mu", "0"),
+        (["simulate", "--T", "4"], "alpha", "inf"),
+        (["lln", "--T-list", "4", "--n", "10"], "eps", "-1"),
+    ],
+    ids=["lambda", "mu", "alpha", "eps"],
+)
+def test_model_parameter_or_eps_not_finite_and_positive_is_keyed_by_its_flag(tmp_path, capsys, argv, flag, value):
+    rc, text = _run(tmp_path, *argv, f"--{flag}={value}")
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == flag
+    assert "finite and > 0" in record["message"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--T", "4", "--seed", "5"],

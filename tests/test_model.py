@@ -30,6 +30,7 @@ from catpop.model import (
     _run_events,
     _subordinated_block,
 )
+from catpop.montecarlo import default_tilt
 from catpop.streams import BLOCK, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -318,6 +319,129 @@ def test_merge_orders_zero_and_subnormal_times():
     # row 0 has a birth and a catastrophe at +0.0, then the smallest subnormal
     assert np.array_equal(merged[0, :3], [0.0, 0.0, np.nextafter(0.0, 1.0)])
     assert np.array_equal(kinds[0, :3], [EventKind.BIRTH, EventKind.CATASTROPHE, EventKind.CATASTROPHE])
+
+
+def _column_loop(times, kinds, counts, rng, land):
+    # reference: the event-column loop that the catastrophe-rank loop replaced;
+    # it steps every row one event column at a time and draws in (column, row) order
+    rows, width = times.shape
+    live = np.ascontiguousarray((np.arange(width) < counts[:, None]).T)
+    cats = np.ascontiguousarray(kinds.T == EventKind.CATASTROPHE)
+    state = np.zeros(rows, dtype=np.int64)
+    post = np.empty((width, rows), dtype=np.int64)
+    for c in range(width):
+        hit = cats[c] & (state > 0)
+        state += live[c] & ~hit
+        if hit.any():
+            m = state[hit]
+            state[hit] = land(m, rng.integers(0, m))
+        post[c] = state
+    return state, post.max(axis=0, initial=0), post.T
+
+
+class _HalfwayRng:
+    """Stands in for a generator: the draw on {0, ..., m-1} is m // 2, whatever the order of the draws."""
+
+    def __init__(self):
+        self.calls = self.draws = 0
+
+    def integers(self, low, high):
+        high = np.asarray(high)
+        assert low == 0 and np.all(high > 0)
+        self.calls += 1
+        self.draws += high.size
+        return high // 2
+
+
+def _assert_kernel_matches_column_loop(times, kinds, counts, land):
+    rng = _HalfwayRng()
+    block = _run_events(times, kinds, counts, rng, land)
+    terminal, sup, post = _column_loop(times, kinds, counts, _HalfwayRng(), land)
+    assert np.array_equal(block.terminal, terminal)
+    assert np.array_equal(block.sup, sup)
+    assert np.array_equal(block.post, post)
+    # one pass per catastrophe rank: the most catastrophes in one row, not the width
+    assert rng.calls == np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max(initial=0)
+    return block
+
+
+def _kernel_inputs(monkeypatch, make_block):
+    seen = []
+
+    def spy(times, kinds, counts, rng, land, late=None):
+        seen.append((times, kinds, counts, land))
+        return _run_events(times, kinds, counts, rng, land, late)
+
+    monkeypatch.setattr("catpop.model._run_events", spy)
+    make_block()
+    monkeypatch.undo()
+    (inputs,) = seen
+    return inputs
+
+
+@pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
+@pytest.mark.parametrize(
+    "kernel, x",
+    [(_subordinated_block, None), (_decomposed_block, None), (_decomposed_block, 0.5), (_decomposed_block, 2.0)],
+    ids=["subordinated", "identity", "default-x0.5", "default-x2"],
+)
+def test_catastrophe_loop_matches_the_column_loop_on_blocks(monkeypatch, T, kernel, x):
+    args = (P111, T, replica_rng(11, 0), BLOCK)
+    if x is not None:
+        args += (default_tilt(x, P111).at_horizon(P111, T),)
+    times, kinds, counts, land = _kernel_inputs(monkeypatch, lambda: kernel(*args))
+    block = _assert_kernel_matches_column_loop(times, kinds, counts, land)
+    assert block.times.shape[1] > np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max()
+
+
+def _rows_of(*rows):
+    # one row per string of event kinds, B for a birth and C for a catastrophe, at times 1, 2, ...
+    width = max(map(len, rows))
+    times = np.full((len(rows), width), np.inf)
+    kinds = np.zeros((len(rows), width), dtype=np.uint8)
+    for r, row in enumerate(rows):
+        times[r, :len(row)] = np.arange(1.0, len(row) + 1)
+        kinds[r, :len(row)] = [EventKind.CATASTROPHE if k == "C" else EventKind.BIRTH for k in row]
+    return times, kinds, np.array([len(row) for row in rows])
+
+
+@pytest.mark.parametrize("land", [_land_at, _drop_by])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ("",),  # no events at all: a block 0 columns wide
+        ("", ""),
+        ("BBB", "", "B"),  # rows with no catastrophe
+        ("C", "CC", "CCC", "CBC"),  # a catastrophe as the first event, and at state 0
+        ("BBBBC", "CBBBBBBC", "", "BCBCBCBC", "BBC", "BBBBBBBBBBCCCC"),
+        ("BBBBBBBBBBC", "C", "BBBBBBBBBBBBBBBBBBBBCCCCCCCCCC", "BB"),
+    ],
+)
+def test_catastrophe_loop_matches_the_column_loop_on_edge_blocks(land, rows):
+    block = _assert_kernel_matches_column_loop(*_rows_of(*rows), land)
+    for r, row in enumerate(rows):
+        assert block.path(r).n_events == len(row)
+
+
+def test_catastrophe_at_state_zero_moves_to_one_without_a_draw():
+    rng = _HalfwayRng()
+    block = _run_events(*_rows_of("CC", "C"), rng, _land_at)
+    assert np.array_equal(block.post, [[1, 0], [1, 1]])
+    assert np.array_equal(block.sup, [1, 1]) and np.array_equal(block.terminal, [0, 1])
+    assert rng.draws == 1  # for the second catastrophe of row 0 only
+
+
+@pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
+@pytest.mark.parametrize("kernel", [_subordinated_block, _decomposed_block])
+def test_one_row_block_draws_in_time_order(monkeypatch, kernel, T):
+    # with one row the rank order is the time order, so the real draws are the column loop's
+    for replica in range(20):
+        times, kinds, counts, land = _kernel_inputs(monkeypatch, lambda: kernel(P111, T, replica_rng(13, replica), 1))
+        block = _run_events(times, kinds, counts, replica_rng(17, replica), land)
+        terminal, sup, post = _column_loop(times, kinds, counts, replica_rng(17, replica), land)
+        assert block.terminal.tobytes() == terminal.tobytes()
+        assert block.sup.tobytes() == sup.tobytes()
+        assert block.post.tobytes() == post.tobytes()
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),

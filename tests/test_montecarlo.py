@@ -1,5 +1,10 @@
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -377,7 +382,7 @@ def test_pool_never_larger_than_the_block_count(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -394,6 +399,58 @@ def test_pool_never_larger_than_the_block_count(monkeypatch):
     for n in (BLOCK, BLOCK + 1, 2 * BLOCK + 3):
         sample_terminal_states(P111, 1.0, n, 83, workers=8)
     assert sizes == [2, 3]
+
+
+def test_pool_workers_keep_their_heap_and_give_the_same_bytes(monkeypatch):
+    initializers = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            initializers.append(kwargs.get("initializer"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    n, tilt = 3 * BLOCK + 5, default_tilt(0.5, P111)
+    one = estimate_tail_is(P111, 40.0, 0.5, tilt, n, 101, workers=1)
+    assert estimate_tail_is(P111, 40.0, 0.5, tilt, n, 101, workers=2) == one
+    one = collect_weighted_paths(P111, 40.0, 0.5, tilt, n, 101, grid_size=20, workers=1)
+    two = collect_weighted_paths(P111, 40.0, 0.5, tilt, n, 101, grid_size=20, workers=2)
+    assert one.row_sum.tobytes() == two.row_sum.tobytes() and one.total_weight == two.total_weight
+    # the caller's own process (workers=1) starts no pool and keeps its allocator settings
+    assert initializers == [montecarlo._keep_heap] * 2
+
+
+def test_keep_heap_sets_both_thresholds_through_mallopt(monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "_mallopt", lambda: lambda param, value: calls.append((param, value)) or 1)
+    montecarlo._keep_heap()
+    assert calls == [(-1, 1 << 30), (-3, 32 << 20)]  # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+
+
+def test_keep_heap_is_a_no_op_without_mallopt(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", NoMallopt)
+    assert montecarlo._mallopt() is None
+    assert montecarlo._keep_heap() is None
+
+
+def test_glibc_accepts_the_heap_settings():
+    # run in a child, so that this process's allocator is left as it is
+    code = (
+        "from catpop.montecarlo import _KEEP_HEAP, _mallopt\n"
+        "mallopt = _mallopt()\n"
+        "print('absent' if mallopt is None else [mallopt(p, v) for p, v in _KEEP_HEAP])\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    if out.stdout.strip() == "absent":
+        pytest.skip("this C library has no mallopt")
+    assert out.stdout.strip() == "[1, 1]"
 
 
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
