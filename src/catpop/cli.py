@@ -31,6 +31,7 @@ import numpy as np
 
 from .exact import TruncationBudgetExceeded, exact_state_distribution
 from .model import (
+    BudgetError,
     EventKind,
     ModelParams,
     SimSpec,
@@ -167,6 +168,19 @@ def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc), key=key) from exc
     return tilt.at_horizon(params, cfg["T"])
+
+
+def _budget_key(field: str, cfg: dict) -> str:
+    """The option behind an input the library refused as beyond its budget (:class:`model.BudgetError`).
+
+    The horizon is ``T``, both for the oracle's Poisson window and for a
+    block's events; a tilt multiplier is its flag, or ``x`` where the
+    default tilt set it from the level.
+    """
+    if field == "T":
+        return "T"
+    key = next(key for key, name in _TILT_FIELDS.items() if name == field)
+    return key if cfg.get(key) is not None else "x"
 
 
 def _cmd_simulate(cfg: dict, params: ModelParams):
@@ -479,7 +493,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(argv)
         cfg = _merge_config(args.command, args)
         params = ModelParams(lam=cfg["lambda"], mu=cfg["mu"], alpha=cfg["alpha"])
-        body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
+        try:
+            body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
+        except BudgetError as exc:
+            raise ConfigError(str(exc), key=_budget_key(exc.field, cfg)) from exc
         if cfg["format"] == "json":
             params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
             doc = {"command": args.command, "params": params_doc, **body}

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams
+from .model import BudgetError, ModelParams
 
 
 MAX_POISSON_WINDOW = 2**21  # terms of one Poisson window, about 70 MB at the peak; past the CLI's K cap
@@ -121,7 +121,8 @@ def _poisson_weights(rate: float, K: int) -> tuple[np.ndarray, float]:
         return weights, 0.0
     reach = max(K + 1, rate) + 10.0 * math.sqrt(rate)
     if not reach <= MAX_POISSON_WINDOW:
-        raise ValueError(f"Poisson window of {reach:.3g} terms for rate {rate:.3g} exceeds {MAX_POISSON_WINDOW}")
+        # the rate is the clock's alpha*T, so the horizon sets the window
+        raise BudgetError(f"Poisson window of {reach:.3g} terms for rate {rate:.3g} exceeds {MAX_POISSON_WINDOW}", "T")
     end = math.ceil(reach) + 10
     k = np.arange(end + 1, dtype=float)
     terms = np.exp(k * math.log(rate) - rate - np.fromiter(map(math.lgamma, k + 1.0), float, k.size))

@@ -20,14 +20,16 @@ Each construction is one block kernel: a call simulates a block of replicas
 from one generator, one row per replica, and steps every row through its
 sorted events catastrophe by catastrophe.  A row's events are sorted by one
 in-place sort: of its times for the jump chain, and of packed
-``(time, kind)`` keys for the two streams, so that a birth comes before a
-catastrophe at the same time.  The order depends on the drawn values alone.
-Births only add one each, so the loop visits each row's k-th catastrophe,
-k = 0, 1, ..., reads the births since the row's previous one from its
-column, and draws the landings in (catastrophe rank, row) order: time order
-for a one-row block.  Each row's last and largest states come out of that
-loop; the state after every event is one cumulative sum, built only for
-the callers that read it.
+``(time, kind)`` uint64 keys for the two streams, so that a birth comes
+before a catastrophe at the same time.  Each stream's times become keys
+while they are still the vector of draws, and the keys land in one matrix
+padded with the ``+inf`` birth key.  The order depends on the drawn values
+alone.  Births only add one each, so the loop visits each row's k-th
+catastrophe, k = 0, 1, ..., reads the births since the row's previous one
+from its column, and draws the landings in (catastrophe rank, row) order:
+time order for a one-row block.  Each row's last and largest states come
+out of that loop; the state after every event is one cumulative sum per
+row, built only for the rows a caller asks for.
 :class:`TiltConfig` is the two-stream kernel's sampling measure: it states
 the tilted window ``(s*T, T]`` once and weighs the births and catastrophes
 each row drew there.  Each kernel checks a Poisson mean against one
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from functools import cached_property
 import math
 
 import numpy as np
@@ -208,13 +209,14 @@ class _Block:
 
     ``times`` holds each row's sorted event times, padded with ``+inf`` past
     its ``counts`` events; at equal times a birth comes before a catastrophe
-    (:func:`_merge_streams`).  ``kinds`` is 0 on the padding.  ``terminal`` and
+    (:func:`_merge_keys`).  ``kinds`` is 0 on the padding.  ``terminal`` and
     ``sup`` are each row's last and largest states.  ``jumps`` holds the flat
     index in ``times`` of every catastrophe and the state change it made,
-    from which :attr:`post` is built on first use.  ``late`` holds each row's
-    births and catastrophes on the two-stream kernel's tilted window (the
-    whole horizon when untilted), the counts :meth:`TiltConfig.weight` takes;
-    the never-tilted jump chain leaves it ``None``.
+    from which :meth:`post_states` builds the states of the rows a caller
+    asks for.  ``late`` holds each row's births and catastrophes on the
+    two-stream kernel's tilted window (the whole horizon when untilted), the
+    counts :meth:`TiltConfig.weight` takes; the never-tilted jump chain
+    leaves it ``None``.
     """
 
     times: np.ndarray
@@ -225,20 +227,40 @@ class _Block:
     jumps: tuple[np.ndarray, np.ndarray]
     late: tuple[np.ndarray, np.ndarray] | None = None
 
-    @cached_property
-    def post(self) -> np.ndarray:
-        """State after each event, repeating the terminal state on the padding: one cumulative sum.
+    def post_states(self, rows: np.ndarray) -> np.ndarray:
+        """State after each event of ``rows`` (distinct row indices), the terminal state repeated on the padding.
 
-        Every event adds one except a catastrophe, which adds its jump.
+        Only the asked rows are built, each one cumulative sum: every event
+        adds one except a catastrophe, which adds its jump.
         """
-        post = (np.arange(self.times.shape[1]) < self.counts[:, None]).astype(np.int64)
+        n, width = len(rows), self.times.shape[1]
         positions, jumps = self.jumps
-        post.flat[positions] = jumps
-        return np.cumsum(post, axis=1, out=post)
+        # each block row moves to its row in the result; the rows not asked for
+        # all move to one extra last row, which is dropped
+        target = np.full(self.counts.size, n)
+        target[rows] = np.arange(n)
+        shift = (target - np.arange(self.counts.size)) * width
+        post = np.zeros((n + 1, width), dtype=np.int64)
+        np.less(np.arange(width), self.counts[rows, None], out=post[:n])
+        post.reshape(-1)[positions + shift[positions // width]] = jumps
+        post = post[:n]
+        return post.cumsum(axis=1, out=post)
 
     def path(self, row: int) -> PathSample:
         n = int(self.counts[row])
-        return PathSample(self.times[row, :n], self.kinds[row, :n], self.post[row, :n])
+        return PathSample(self.times[row, :n], self.kinds[row, :n], self.post_states(np.array([row]))[0, :n])
+
+
+class BudgetError(ValueError):
+    """An input asks one computation for more than its budget; ``field`` names it: ``T``, ``theta1`` or ``theta2``."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+    def __reduce__(self):
+        # the field survives the trip back from a pool worker
+        return type(self), (str(self), self.field)
 
 
 # Most events one Poisson draw may expect over a block, rows x mean.  A
@@ -247,63 +269,87 @@ class _Block:
 # about 0.3-0.4 GB; a horizon or tilt beyond it fails before any allocation.
 BLOCK_EVENT_BUDGET = 2**23
 
+_CAUSES = {"T": "horizon T", "theta1": "tilt multiplier theta1", "theta2": "tilt multiplier theta2"}
 
-def _check_mean(mean: float, rows: int, cause: str) -> float:
-    """``mean``, if ``rows`` draws of it expect at most the budget; otherwise name the input that set it."""
+
+def _check_mean(mean: float, rows: int, field: str) -> float:
+    """``mean``, if ``rows`` draws of it expect at most the budget; else a :class:`BudgetError` naming its input."""
     if not rows * mean <= BLOCK_EVENT_BUDGET:
-        raise ValueError(
-            f"{cause} gives {mean:.3g} expected events per replica in one stream, {rows * mean:.3g} "
-            f"in a block of {rows}, beyond the per-block budget of {BLOCK_EVENT_BUDGET} events"
+        raise BudgetError(
+            f"{_CAUSES[field]} gives {mean:.3g} expected events per replica in one stream, {rows * mean:.3g} "
+            f"in a block of {rows}, beyond the per-block budget of {BLOCK_EVENT_BUDGET} events",
+            field,
         )
     return mean
+
+
+def _uniform_times(rng: np.random.Generator, size: int, start: float, length: float) -> np.ndarray:
+    """``size`` uniform event times on (start, start+length], as ``start + length*(1 - U)`` in place."""
+    u = rng.random(size)
+    np.subtract(1.0, u, out=u)
+    u *= length
+    u += start
+    return u
 
 
 def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, length: float) -> np.ndarray:
     """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r."""
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     times = np.full(live.shape, np.inf)
-    # start + length*(1 - U), in place: 1 - U keeps the arrival times inside (start, stop]
-    u = rng.random(int(counts.sum()))
-    np.subtract(1.0, u, out=u)
-    u *= length
-    u += start
-    times[live] = u
+    times[live] = _uniform_times(rng, int(counts.sum()), start, length)
     return times
 
 
-def _merge_streams(times: np.ndarray, first_catastrophe_column: int) -> tuple[np.ndarray, ...]:
-    """Merge the birth and catastrophe columns of each row into its sorted events.
+# +inf packed as a birth: the key of the padding, after every event's key
+_PAD_KEY = np.float64(np.inf).view(np.uint64) << np.uint64(1)
 
-    ``times`` holds ``+inf``-padded birth times before ``first_catastrophe_column``
-    and catastrophe times from it on; it is overwritten.  Each time becomes one
-    uint64 key ``(bits(time) << 1) | kind``: times >= +0 (``+inf`` included)
-    order like their bit patterns read as unsigned integers, the sign bit is 0 so
-    the shift loses nothing, and at equal times a birth (kind 0) comes before a
-    catastrophe.  One in-place sort of each row's keys therefore gives an order
-    fixed by the values alone.  Returns the merged times and kinds, cut to the
-    widest row, and each row's event count.
+
+def _stream_keys(
+    rng: np.random.Generator, counts: np.ndarray, start: float, length: float, kind: EventKind
+) -> np.ndarray:
+    """Sort keys of one stream: ``counts[r]`` uniform times on (start, start+length] for row r, row by row.
+
+    Each time becomes one uint64 key ``(bits(time) << 1) | kind`` while it is
+    still in the vector of draws: times >= +0 (``+inf`` included) order like
+    their bit patterns read as unsigned integers, and the sign bit is 0, so
+    the shift loses nothing.
     """
-    counts = np.count_nonzero(times < np.inf, axis=1)
-    keys = times.view(np.uint64)
+    keys = _uniform_times(rng, int(counts.sum()), start, length).view(np.uint64)
     keys <<= 1
-    keys[:, first_catastrophe_column:] |= 1
+    keys |= int(kind)
+    return keys
+
+
+def _merge_keys(streams: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """Merge streams, each its per-row counts and keys (:func:`_stream_keys`), into each row's sorted events.
+
+    Each stream's keys land left-aligned in a band of one matrix padded with
+    the ``+inf`` birth key, and one in-place sort of each row gives an order
+    fixed by the values alone: at equal times a birth (kind 0) comes before a
+    catastrophe, and the padding comes last with kind 0.  Returns the merged
+    times and kinds, cut to the widest row, and each row's event count.
+    """
+    widths = [int(counts.max(initial=0)) for counts, _ in streams]
+    keys = np.full((streams[0][0].size, sum(widths)), _PAD_KEY)
+    column = 0
+    for (counts, stream), width in zip(streams, widths):
+        keys[:, column:column + width][np.arange(width) < counts[:, None]] = stream
+        column += width
     keys.sort(axis=1)
+    counts = sum(n for n, _ in streams)
     keys = keys[:, :counts.max(initial=0)]
     # the cast keeps the low byte, so no full-width uint64 temporary is made
     kinds = keys.astype(np.uint8)
     kinds &= 1
     keys >>= 1
-    times = keys.view(np.float64)
-    # the catastrophe columns' padding carries kind 1 up to here
-    kinds[times == np.inf] = EventKind.BIRTH
-    return times, kinds, counts
+    return keys.view(np.float64), kinds, counts
 
 
 def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     """Step every row of a block through its sorted events, catastrophe by catastrophe.
 
-    Rows come sorted from one in-place sort (:func:`_merge_streams` for the
-    two streams, births first on ties), with ``kinds`` 0 on the padding.
+    Rows come sorted from one in-place sort (:func:`_merge_keys` for the
+    two streams, births first on ties), with ``kinds`` 0 or 1, and 0 on the padding.
 
     A birth, or any event of the empty population, adds one; a catastrophe
     at level m draws u uniform on {0, ..., m-1} (``Generator.integers`` with
@@ -311,18 +357,17 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     catastrophes need the state, so the loop visits each row's k-th
     catastrophe for k = 0, 1, ... and reads the births before it from its
     column: the landing draws are taken in (catastrophe rank, row) order,
-    which for a one-row block is time order.  The state after every event is left to :attr:`_Block.post`.
+    which for a one-row block is time order.  The state after every event
+    is left to :meth:`_Block.post_states`.
     """
     rows, width = times.shape
-    # the catastrophes' flat indices, row by row and each row in time order
-    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
-    row = flat // width
-    per_row = np.bincount(row, minlength=rows)
+    # the catastrophes' flat indices, row by row and each row in time order; kinds
+    # are 0 or 1, so they read as booleans, whose nonzero scan is the fast one
+    flat = kinds.view(np.bool_).ravel().nonzero()[0]
+    per_row = np.bincount(flat // width, minlength=rows)
     ranks = int(per_row.max(initial=0))
     # rank k holds, in row order, the k-th catastrophe of each row that has one
-    ranked = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
-    rank = ranked // rows
-    row = ranked - rank * rows
+    rank, row = np.nonzero(np.arange(ranks)[:, None] < per_row)
     flat = flat[(per_row.cumsum() - per_row)[row] + rank]
     births = flat - row * width - rank  # before the catastrophe: its column less its rank
     bounds = rank.searchsorted(np.arange(ranks + 1)).tolist()
@@ -336,10 +381,12 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
         m += born
         before[a:b] = m
         drop = m.nonzero()[0]
-        from_m = m[drop]
-        if drop.size < m.size:
+        if drop.size == m.size:
+            m = land(m, rng.integers(0, m))
+        else:
+            from_m = m[drop]
             m[m == 0] = 1  # the empty population moves to 1
-        m[drop] = land(from_m, rng.integers(0, from_m))
+            m[drop] = land(from_m, rng.integers(0, from_m))
         after[a:b] = m
         m -= born
         offset[r] = m
@@ -362,7 +409,7 @@ def _drop_by(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator, rows: int) -> _Block:
     """Jump chain run at Poisson clock times, for a block of ``rows`` replicas."""
-    counts = rng.poisson(_check_mean(params.alpha * T, rows, "horizon T"), size=rows)
+    counts = rng.poisson(_check_mean(params.alpha * T, rows, "T"), size=rows)
     times = _padded_times(rng, counts, 0.0, T)
     times.sort(axis=1)
     kinds = np.zeros(times.shape, dtype=np.uint8)
@@ -381,20 +428,19 @@ def _decomposed_block(
     The block keeps the counts each row drew on the tilted window as ``late``.
     """
     # the clock's alpha*T bounds every untilted stream, so only the tilted window can fail below
-    _check_mean(params.alpha * T, rows, "horizon T")
+    _check_mean(params.alpha * T, rows, "T")
     start, length = tilt.window(T)
     r1, r2 = params.birth_rate, params.catastrophe_rate
     segments = [(0.0, start, r1, r2)] if start > 0.0 else []
     segments.append((start, length, tilt.theta1 * r1, tilt.theta2 * r2))
 
-    births, cats = [], []
+    streams = []
     for begin, span, rb, rc in segments:
-        nb = rng.poisson(_check_mean(rb * span, rows, "tilt multiplier theta1"), size=rows)
-        nc = rng.poisson(_check_mean(rc * span, rows, "tilt multiplier theta2"), size=rows)
-        births.append(_padded_times(rng, nb, begin, span))
-        cats.append(_padded_times(rng, nc, begin, span))
-    first_catastrophe_column = sum(b.shape[1] for b in births)
-    times, kinds, counts = _merge_streams(np.concatenate(births + cats, axis=1), first_catastrophe_column)
+        nb = rng.poisson(_check_mean(rb * span, rows, "theta1"), size=rows)
+        nc = rng.poisson(_check_mean(rc * span, rows, "theta2"), size=rows)
+        streams.append((nb, _stream_keys(rng, nb, begin, span, EventKind.BIRTH)))
+        streams.append((nc, _stream_keys(rng, nc, begin, span, EventKind.CATASTROPHE)))
+    times, kinds, counts = _merge_keys(streams)
     return _run_events(times, kinds, counts, rng, _drop_by, late=(nb, nc))
 
 

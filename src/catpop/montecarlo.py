@@ -13,6 +13,9 @@ replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through one block kernel on the
 stream ``(seed, b)``.  Whole blocks are spread over the workers, and each is
 folded in the worker that simulated it to a few sums: with h = w·1{event},
 Σh, Σh², Σw and Σw², plus Σh·row over the grid rows for conditioned paths.
+Only the hits carry weight, so a ``paths`` block builds and looks up the
+grid rows of its hits alone: a missed row would add h·row = +0.0, which
+leaves a sum of nonnegative terms bit for bit as it is.
 The block sums are added in block order, so the final figures are identical
 for any worker count and memory does not grow with the replica count; only
 :func:`sample_terminal_states` returns one value per replica.  Pool workers
@@ -90,10 +93,15 @@ def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T:
 
 
 def _fold_block(weights: np.ndarray, hits: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Σh, Σh², Σw and Σw² of a block, h = w·1{hit}, then Σh·row over its grid rows if given."""
+    """Σh, Σh², Σw and Σw² of a block, h = w·1{hit}, then Σh·row over the grid rows of its hits if given.
+
+    ``rows`` holds one grid row per hit, in row order.  A missed row would add
+    h·row = +0.0, and adding +0.0 leaves a sum of nonnegative terms as it is,
+    so the sum over the hits alone is the sum over every row, bit for bit.
+    """
     h = np.where(hits, weights, 0.0)
     # axis 0 is added one row after another, a fixed order a BLAS product would not keep
-    row_sum = [] if rows is None else np.sum(h[:, None] * rows, axis=0)
+    row_sum = [] if rows is None else np.sum(weights[hits][:, None] * rows, axis=0)
     return np.concatenate(([h.sum(), (h * h).sum(), weights.sum(), (weights * weights).sum()], row_sum))
 
 
@@ -108,9 +116,14 @@ def _run_block(args) -> np.ndarray:
     if event is None:
         return block.terminal
     weights = tilt.weight(*block.late, params, T)
-    rows = None if grid is None else _grid_states(block.times, block.post, grid)
     statistic, level = event
-    return _fold_block(weights, getattr(block, statistic) >= level, rows)
+    hits = getattr(block, statistic) >= level
+    rows = None
+    if grid is not None:
+        # only the hits carry weight, so only their states are built and looked up
+        hit = hits.nonzero()[0]
+        rows = _grid_states(block.times[hit], block.post_states(hit), grid)
+    return _fold_block(weights, hits, rows)
 
 
 def _block_bounds(n: int) -> list[tuple[int, int]]:

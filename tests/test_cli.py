@@ -291,6 +291,31 @@ def test_poisson_mean_out_of_range_names_its_cause(tmp_path, capsys, argv, cause
     assert "lam value too large" not in record["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["exact", "--T", "1e7"], "T"),
+        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10"], "T"),
+        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10", "--method", "is"], "T"),
+        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "3000", "--workers", "2"], "T"),
+        (["paths", "--T", "1e300", "--x", "0.5", "--n", "10"], "T"),
+        (["simulate", "--T", "1e300"], "T"),
+        (["estimate", "--T", "160", "--x", "0.5", "--n", "10", "--method", "is", "--tilt-theta1", "1e6"],
+         "tilt-theta1"),
+        (["paths", "--T", "160", "--x", "0.5", "--n", "10", "--tilt-theta2", "1e6"], "tilt-theta2"),
+        (["paths", "--T", "160", "--x", "1e6", "--n", "10"], "x"),
+    ],
+)
+def test_budget_refusal_is_keyed_by_the_input_that_set_it(tmp_path, capsys, argv, key):
+    # the oracle's Poisson window and the per-block event budget name the flag at fault;
+    # a multiplier the default tilt derived from the level names x
+    rc, _ = _run(tmp_path, *argv)
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == key
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

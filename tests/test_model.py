@@ -25,9 +25,10 @@ from catpop.model import (
     _drop_by,
     _grid_states,
     _land_at,
-    _merge_streams,
+    _merge_keys,
     _padded_times,
     _run_events,
+    _stream_keys,
     _subordinated_block,
 )
 from catpop.montecarlo import default_tilt
@@ -201,11 +202,11 @@ def test_tilt_states_its_window_once(monkeypatch, s, T):
     tilt = TiltConfig(s, 2.0, None).at_horizon(P111, T)
     drawn = []
 
-    def spy(rng, counts, start, span):
+    def spy(rng, counts, start, span, kind):
         drawn.append((start, span))
-        return _padded_times(rng, counts, start, span)
+        return _stream_keys(rng, counts, start, span, kind)
 
-    monkeypatch.setattr("catpop.model._padded_times", spy)
+    monkeypatch.setattr("catpop.model._stream_keys", spy)
     _decomposed_block(P111, T, replica_rng(5, 0), 4, tilt)
     assert drawn[-2:] == [(s * T, length)] * 2  # the tilted births and catastrophes
     assert tilt.theta2 == 1.0 / (1.0 + P111.catastrophe_rate * length)
@@ -215,9 +216,9 @@ def test_tilt_states_its_window_once(monkeypatch, s, T):
 
 def test_block_event_budget_scales_with_the_rows():
     # one replica may expect what a block of BLOCK rows may not
-    assert _check_mean(2e4, 1, "horizon T") == 2e4
+    assert _check_mean(2e4, 1, "T") == 2e4
     with pytest.raises(ValueError, match="horizon T"):
-        _check_mean(2e4, BLOCK, "horizon T")
+        _check_mean(2e4, BLOCK, "T")
     assert BLOCK * 2e4 > BLOCK_EVENT_BUDGET >= 2e4
 
 
@@ -248,8 +249,32 @@ def _argsort_merge(times, first_catastrophe_column):
     return times, kinds, counts
 
 
+def _streams_of(times, first_catastrophe_column):
+    # the birth and the catastrophe columns as two streams: each row's count and
+    # its live times, in column order, packed as keys
+    streams = []
+    for band, kind in ((times[:, :first_catastrophe_column], EventKind.BIRTH),
+                       (times[:, first_catastrophe_column:], EventKind.CATASTROPHE)):
+        live = band < np.inf
+        streams.append((np.count_nonzero(live, axis=1), band[live].view(np.uint64) << 1 | int(kind)))
+    return streams
+
+
+def _times_of(streams):
+    # the streams unpacked into +inf-padded time bands, the birth bands first, and the first catastrophe column
+    bands = {EventKind.BIRTH: [], EventKind.CATASTROPHE: []}
+    for counts, keys in streams:
+        kind = EventKind(keys[0] & 1) if keys.size else EventKind.CATASTROPHE  # an empty stream adds no column
+        assert np.all(keys & 1 == kind)
+        times = np.full((counts.size, counts.max(initial=0)), np.inf)
+        times[np.arange(times.shape[1]) < counts[:, None]] = (keys >> 1).view(np.float64)
+        bands[kind].append(times)
+    births = np.concatenate(bands[EventKind.BIRTH], axis=1)
+    return np.concatenate((births, *bands[EventKind.CATASTROPHE]), axis=1), births.shape[1]
+
+
 def _assert_merge_matches_argsort(times, first_catastrophe_column):
-    got = _merge_streams(times.copy(), first_catastrophe_column)
+    got = _merge_keys(_streams_of(times, first_catastrophe_column))
     expected = _argsort_merge(times.copy(), first_catastrophe_column)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
@@ -263,17 +288,30 @@ def _assert_merge_matches_argsort(times, first_catastrophe_column):
 def test_merge_matches_stable_argsort_on_blocks(monkeypatch, T, switch):
     seen = []
 
-    def spy(times, first_catastrophe_column):
-        seen.append((times.copy(), first_catastrophe_column))
-        return _merge_streams(times, first_catastrophe_column)
+    def spy(streams):
+        seen.append(_times_of(streams))
+        return _merge_keys(streams)
 
-    monkeypatch.setattr("catpop.model._merge_streams", spy)
+    monkeypatch.setattr("catpop.model._merge_keys", spy)
     block = _decomposed_block(P111, T, replica_rng(71, 0), BLOCK, TiltConfig(*switch))
     (times, first), = seen
     expected = _assert_merge_matches_argsort(times, first)
     assert np.array_equal(block.times, expected[0])
     assert np.array_equal(block.kinds, expected[1])
     assert first < times.shape[1]
+
+
+@pytest.mark.parametrize("kind", list(EventKind))
+def test_stream_keys_pack_the_drawn_times(kind):
+    # the same generator calls as a padded time matrix: each key is its time's bits
+    # shifted up one place, or'ed with the kind
+    counts = replica_rng(3, 0).poisson(5.0, size=BLOCK)
+    rng_keys, rng_times = replica_rng(3, 1), replica_rng(3, 1)
+    keys = _stream_keys(rng_keys, counts, 80.0, 80.0, kind)
+    times = _padded_times(rng_times, counts, 80.0, 80.0)
+    assert np.array_equal(keys >> 1, times[times < np.inf].view(np.uint64))
+    assert np.all(keys & 1 == kind)
+    assert rng_keys.random() == rng_times.random()
 
 
 def test_merge_puts_a_birth_before_a_catastrophe_at_the_same_time():
@@ -359,7 +397,7 @@ def _assert_kernel_matches_column_loop(times, kinds, counts, land):
     terminal, sup, post = _column_loop(times, kinds, counts, _HalfwayRng(), land)
     assert np.array_equal(block.terminal, terminal)
     assert np.array_equal(block.sup, sup)
-    assert np.array_equal(block.post, post)
+    assert np.array_equal(block.post_states(np.arange(counts.size)), post)
     # one pass per catastrophe rank: the most catastrophes in one row, not the width
     assert rng.calls == np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max(initial=0)
     return block
@@ -423,10 +461,21 @@ def test_catastrophe_loop_matches_the_column_loop_on_edge_blocks(land, rows):
         assert block.path(r).n_events == len(row)
 
 
+@pytest.mark.parametrize("kernel", [_subordinated_block, _decomposed_block])
+def test_post_states_of_a_row_subset_are_those_rows_of_the_full_matrix(kernel):
+    block = kernel(P111, 40.0, replica_rng(19, 0), BLOCK)
+    full = block.post_states(np.arange(BLOCK))
+    for rows in ([], [517], np.arange(BLOCK), np.flatnonzero(block.terminal >= 10), [900, 3, 41]):
+        rows = np.asarray(rows, dtype=np.intp)
+        got = block.post_states(rows)
+        assert got.shape == (rows.size, block.times.shape[1])
+        assert got.tobytes() == full[rows].tobytes()
+
+
 def test_catastrophe_at_state_zero_moves_to_one_without_a_draw():
     rng = _HalfwayRng()
     block = _run_events(*_rows_of("CC", "C"), rng, _land_at)
-    assert np.array_equal(block.post, [[1, 0], [1, 1]])
+    assert np.array_equal(block.post_states(np.arange(2)), [[1, 0], [1, 1]])
     assert np.array_equal(block.sup, [1, 1]) and np.array_equal(block.terminal, [0, 1])
     assert rng.draws == 1  # for the second catastrophe of row 0 only
 
@@ -441,7 +490,7 @@ def test_one_row_block_draws_in_time_order(monkeypatch, kernel, T):
         terminal, sup, post = _column_loop(times, kinds, counts, replica_rng(17, replica), land)
         assert block.terminal.tobytes() == terminal.tobytes()
         assert block.sup.tobytes() == sup.tobytes()
-        assert block.post.tobytes() == post.tobytes()
+        assert block.post_states(np.arange(1)).tobytes() == post.tobytes()
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),

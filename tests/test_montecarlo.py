@@ -234,7 +234,7 @@ def test_collected_paths_are_scaled_paths_of_their_replicas():
     row_sum = np.zeros(grid_size + 1)
     for block in _tilted_blocks(T, tilt, n, seed):
         paths, w, hits = _replica_weights_and_hits(block, tilt, T, x)
-        rows = _grid_states(block.times, block.post, grid) / T
+        rows = _grid_states(block.times, block.post_states(np.arange(block.counts.size)), grid) / T
         for values, path in zip(rows, paths):
             assert np.array_equal(values, scale_path(path, T, grid_size).values)
         row_sum += np.where(hits, w, 0.0) @ rows
@@ -546,7 +546,7 @@ def test_collect_weighted_paths_consistent_with_estimator():
     assert samples.total_weight / 4_000 == direct.p_hat
     # the terminal grid value is the terminal state the event is tested on
     for block in _tilted_blocks(8.0, tilt, 4_000, 61):
-        rows = _grid_states(block.times, block.post, np.linspace(0.0, 8.0, 21))
+        rows = _grid_states(block.times, block.post_states(np.arange(block.counts.size)), np.linspace(0.0, 8.0, 21))
         assert np.array_equal(rows[:, -1], block.terminal)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catpop.exact import tail_level
-from catpop.model import ModelParams, optimal_path
+from catpop.model import ModelParams, _decomposed_block, _grid_states, optimal_path
 from catpop.montecarlo import _block_bounds, _fold_block, _run_block, collect_weighted_paths, default_tilt
 from catpop.paths import (
     MeanPath,
@@ -13,7 +13,7 @@ from catpop.paths import (
     conditioned_mean_path,
     path_distance,
 )
-from catpop.streams import BLOCK
+from catpop.streams import BLOCK, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 
@@ -25,7 +25,7 @@ def _sample(values, weight=1.0, qualifies=True):
 def _record(samples, grid_size=4):
     # (values, weight, qualifies) samples folded as one block, in order
     values, weights, qualifies = map(np.array, zip(*samples))
-    sums = _fold_block(weights, qualifies, values)
+    sums = _fold_block(weights, qualifies, values[qualifies])
     return WeightedPaths(np.linspace(0.0, 1.0, grid_size + 1), sums[4:], float(sums[0]))
 
 
@@ -83,7 +83,27 @@ def test_mean_path_equals_the_sequential_fold_bit_for_bit():
     loop = np.zeros(101)
     for weight, hit, row in zip(weights, hits, rows):
         loop += (weight if hit else 0.0) * row
-    assert np.array_equal(_fold_block(weights, hits, rows)[4:], loop)
+    assert np.array_equal(_fold_block(weights, hits, rows[hits])[4:], loop)
+
+
+@pytest.mark.parametrize("T", [20.0, 160.0])
+@pytest.mark.parametrize("case", ["every-row-hits", "some-rows-hit", "no-row-hits"])
+def test_hit_only_fold_equals_the_all_rows_fold(T, case):
+    # a block folds the grid rows of its hits only; the sum over every row, with h = 0
+    # for a miss, is the same bytes
+    x, seed = 0.5, 29
+    tilt = default_tilt(x, P111).at_horizon(P111, T)
+    level = {"every-row-hits": 0, "some-rows-hit": tail_level(x, T), "no-row-hits": 10**6}[case]
+    grid = np.linspace(0.0, 1.0, 101) * T
+    got = _run_block((P111, T, tilt, "decomposed", seed, 0, BLOCK, ("terminal", level), grid))
+    block = _decomposed_block(P111, T, replica_rng(seed, 0), BLOCK, tilt)
+    weights = tilt.weight(*block.late, P111, T)
+    hits = block.terminal >= level
+    assert {"every-row-hits": hits.all(), "some-rows-hit": 0 < hits.sum() < BLOCK, "no-row-hits": not hits.any()}[case]
+    h = np.where(hits, weights, 0.0)
+    rows = _grid_states(block.times, block.post_states(np.arange(BLOCK)), grid)
+    expected = [h.sum(), (h * h).sum(), weights.sum(), (weights * weights).sum(), *np.sum(h[:, None] * rows, axis=0)]
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
 def _collect_and_mean_peak_bytes(n):
