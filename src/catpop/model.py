@@ -349,7 +349,7 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     """Step every row of a block through its sorted events, catastrophe by catastrophe.
 
     Rows come sorted from one in-place sort (:func:`_merge_keys` for the
-    two streams, births first on ties), with ``kinds`` 0 or 1, and 0 on the padding.
+    two streams, births first on ties), with ``kinds`` 0 on the padding.
 
     A birth, or any event of the empty population, adds one; a catastrophe
     at level m draws u uniform on {0, ..., m-1} (``Generator.integers`` with
@@ -361,13 +361,15 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     is left to :meth:`_Block.post_states`.
     """
     rows, width = times.shape
-    # the catastrophes' flat indices, row by row and each row in time order; kinds
-    # are 0 or 1, so they read as booleans, whose nonzero scan is the fast one
-    flat = kinds.view(np.bool_).ravel().nonzero()[0]
-    per_row = np.bincount(flat // width, minlength=rows)
+    # the catastrophes' flat indices, row by row and each row in time order
+    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
+    row = flat // width
+    per_row = np.bincount(row, minlength=rows)
     ranks = int(per_row.max(initial=0))
     # rank k holds, in row order, the k-th catastrophe of each row that has one
-    rank, row = np.nonzero(np.arange(ranks)[:, None] < per_row)
+    row = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
+    rank = row // rows
+    row -= rank * rows
     flat = flat[(per_row.cumsum() - per_row)[row] + rank]
     births = flat - row * width - rank  # before the catastrophe: its column less its rank
     bounds = rank.searchsorted(np.arange(ranks + 1)).tolist()
@@ -381,12 +383,10 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
         m += born
         before[a:b] = m
         drop = m.nonzero()[0]
-        if drop.size == m.size:
-            m = land(m, rng.integers(0, m))
-        else:
-            from_m = m[drop]
+        from_m = m[drop]
+        if drop.size < m.size:
             m[m == 0] = 1  # the empty population moves to 1
-            m[drop] = land(from_m, rng.integers(0, from_m))
+        m[drop] = land(from_m, rng.integers(0, from_m))
         after[a:b] = m
         m -= born
         offset[r] = m
