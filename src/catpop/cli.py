@@ -88,12 +88,20 @@ def _int_in(low: int, cap: int | None = None):
     return cast
 
 
-def _positive(text: str) -> float:
-    """A float cast that refuses values that are not finite and > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"must be finite and > 0, got {value}")
-    return value
+def _finite_float(rule: str = "", ok=lambda value: True):
+    """A float cast that refuses values that are not finite, or fail ``ok``; ``rule`` says what ``ok`` asks."""
+
+    def cast(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"must be finite{rule}, got {value}")
+        return value
+
+    return cast
+
+
+_finite = _finite_float()
+_positive = _finite_float(" and > 0", lambda value: value > 0)
 
 
 def _parse_T_list(text: str) -> tuple[float, ...]:
@@ -116,11 +124,13 @@ _COMMON = [
     Opt("lambda", _positive, 1.0, "growth weight, finite and > 0"),
     Opt("mu", _positive, 1.0, "catastrophe weight, finite and > 0"),
     Opt("alpha", _positive, 1.0, "event-clock rate, finite and > 0"),
-    Opt("seed", int, 0, "base seed, 64-bit unsigned"),
     Opt("workers", _int_in(1), 1, "worker processes for replica fan-out, >= 1"),
     Opt("out", str, None, "output file (default: stdout)"),
     Opt("format", str, None, "output format", choices=("csv", "json")),
 ]
+
+# only the commands that draw at random take a seed
+_SEED = Opt("seed", _int_in(0, 2**64 - 1), 0, "base seed, an integer in [0, 2**64)")
 
 _TILT = [
     Opt("tilt-s", float, None, "override: scaled time where tilting begins"),
@@ -159,7 +169,7 @@ _TILT_FIELDS = {"tilt-s": "switch_time_s", "tilt-theta1": "theta1", "tilt-theta2
 
 
 def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
-    tilt = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig.identity()
+    tilt = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig()
     for key, field in _TILT_FIELDS.items():
         if cfg[key] is not None:
             # one override at a time onto a valid tilt, so a failed check is this key's
@@ -310,10 +320,11 @@ _COMMANDS: dict[str, dict] = {
         "help": "simulate one path and dump its events or its scaled grid",
         "default_format": "csv",
         "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("T", _positive, _REQUIRED, "time horizon, finite and > 0"),
             Opt("method", str, "subordinated", "path construction",
                 choices=("subordinated", "decomposed")),
             Opt("grid", _int_in(1, MAX_GRID), None, "if set, emit the scaled path on this many steps"),
+            _SEED,
         ],
     },
     "exact": {
@@ -321,10 +332,10 @@ _COMMANDS: dict[str, dict] = {
         "help": "exact truncated law of the population at time T",
         "default_format": "json",
         "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("T", _finite_float(" and >= 0", lambda value: value >= 0), _REQUIRED, "time horizon, finite and >= 0"),
             Opt("M", _int_in(1, MAX_TRUNCATION), 64, "state truncation cap"),
             Opt("K", _int_in(0, MAX_TRUNCATION), 60, "event-count truncation cap"),
-            Opt("x", float, None, "if set, also report P(state/T >= x)"),
+            Opt("x", _finite, None, "if set, also report P(state/T >= x), finite"),
         ],
     },
     "rate": {
@@ -341,11 +352,12 @@ _COMMANDS: dict[str, dict] = {
         "help": "estimate P(scaled terminal value >= x) at one horizon",
         "default_format": "json",
         "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
-            Opt("x", float, _REQUIRED, "deviation level"),
+            Opt("T", _positive, _REQUIRED, "time horizon, finite and > 0"),
+            Opt("x", _finite, _REQUIRED, "deviation level, finite"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
             Opt("method", str, "naive", "estimator", choices=("naive", "is")),
             *_TILT,
+            _SEED,
         ],
     },
     "lln": {
@@ -356,6 +368,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
             Opt("eps", _positive, _REQUIRED, "exceedance level, finite and > 0"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
+            _SEED,
         ],
     },
     "sweep": {
@@ -364,9 +377,10 @@ _COMMANDS: dict[str, dict] = {
         "default_format": "csv",
         "opts": [
             Opt("T-list", _parse_T_list, _REQUIRED, "comma-separated horizons"),
-            Opt("x", float, _REQUIRED, "deviation level"),
+            Opt("x", _finite, _REQUIRED, "deviation level, finite"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
             Opt("method", str, "is", "estimator", choices=("naive", "is")),
+            _SEED,
         ],
     },
     "paths": {
@@ -374,11 +388,12 @@ _COMMANDS: dict[str, dict] = {
         "help": "conditioned mean path against the predicted trajectory",
         "default_format": "csv",
         "opts": [
-            Opt("T", float, _REQUIRED, "time horizon"),
+            Opt("T", _positive, _REQUIRED, "time horizon, finite and > 0"),
             Opt("x", _positive, _REQUIRED, "deviation level, finite and > 0"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
             Opt("grid", _int_in(1, MAX_GRID), 100, "scaled-path grid steps"),
             *_TILT,
+            _SEED,
         ],
     },
 }

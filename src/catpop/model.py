@@ -30,12 +30,12 @@ from its column, and draws the landings in (catastrophe rank, row) order:
 time order for a one-row block.  Each row's last and largest states come
 out of that loop; the state after every event is one cumulative sum per
 row, built only for the rows a caller asks for.
-:class:`TiltConfig` is the two-stream kernel's sampling measure: it states
-the tilted window ``(s*T, T]`` once and weighs the births and catastrophes
-each row drew there.  Each kernel checks a Poisson mean against one
-per-block event budget just before drawing from it.  The simulators above
-are the one-replica block; the Monte Carlo estimators run blocks of
-``streams.BLOCK``.
+:class:`TiltConfig` is the two-stream kernel's sampling measure and
+``TiltConfig()`` the plain one; the kernel weighs each row by its births
+and catastrophes on the tilted window, so each block carries its rows'
+likelihood ratios.  Each kernel checks a Poisson mean against one per-block
+event budget just before drawing from it.  The simulators above are the
+one-replica block; the Monte Carlo estimators run blocks of ``streams.BLOCK``.
 
 Paths are stored as change points only.  :func:`scale_path` produces the
 scaled path ``t -> state(T*t)/T`` on ``[0, 1]``, and :func:`optimal_path`
@@ -97,9 +97,10 @@ class TiltConfig:
     On the tilted window ``(s*T, T]`` (:meth:`window`, s = ``switch_time_s``)
     the birth and catastrophe intensities are multiplied by ``theta1`` and
     ``theta2``; :meth:`weight` is a replica's likelihood ratio from its counts
-    there.  Multipliers must be finite and positive: a zero intensity would
-    give unbounded likelihood ratios and break unbiasedness.  ``theta2=None``
-    is matched to the horizon (:meth:`at_horizon`).
+    there, and ``TiltConfig()`` is the plain measure.  Multipliers must be
+    finite and positive: a zero intensity would give unbounded likelihood
+    ratios and break unbiasedness.  ``theta2=None`` is matched to the horizon
+    (:meth:`at_horizon`).
     """
 
     switch_time_s: float = 0.0
@@ -129,10 +130,6 @@ class TiltConfig:
             return self
         expected = params.catastrophe_rate * self.window(T)[1]
         return replace(self, theta2=1.0 / (1.0 + expected))
-
-    @classmethod
-    def identity(cls) -> "TiltConfig":
-        return cls(0.0, 1.0, 1.0)
 
     def weight(self, births, cats, params: ModelParams, T: float) -> np.ndarray:
         """Likelihood ratios d(plain)/d(tilted) of replicas with these counts on the window."""
@@ -213,10 +210,9 @@ class _Block:
     ``sup`` are each row's last and largest states.  ``jumps`` holds the flat
     index in ``times`` of every catastrophe and the state change it made,
     from which :meth:`post_states` builds the states of the rows a caller
-    asks for.  ``late`` holds each row's births and catastrophes on the
-    two-stream kernel's tilted window (the whole horizon when untilted), the
-    counts :meth:`TiltConfig.weight` takes; the never-tilted jump chain
-    leaves it ``None``.
+    asks for.  ``weights`` holds each row's likelihood ratio, which the
+    two-stream kernel weighs where it draws the row; the never-tilted jump
+    chain leaves it ``None``.
     """
 
     times: np.ndarray
@@ -225,7 +221,7 @@ class _Block:
     terminal: np.ndarray
     sup: np.ndarray
     jumps: tuple[np.ndarray, np.ndarray]
-    late: tuple[np.ndarray, np.ndarray] | None = None
+    weights: np.ndarray | None = None
 
     def post_states(self, rows: np.ndarray) -> np.ndarray:
         """State after each event of ``rows`` (distinct row indices), the terminal state repeated on the padding.
@@ -345,7 +341,7 @@ def _merge_keys(streams: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return keys.view(np.float64), kinds, counts
 
 
-def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
+def _run_events(times, kinds, counts, rng, land, weights=None) -> _Block:
     """Step every row of a block through its sorted events, catastrophe by catastrophe.
 
     Rows come sorted from one in-place sort (:func:`_merge_keys` for the
@@ -358,7 +354,7 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     catastrophe for k = 0, 1, ... and reads the births before it from its
     column: the landing draws are taken in (catastrophe rank, row) order,
     which for a one-row block is time order.  The state after every event
-    is left to :meth:`_Block.post_states`.
+    is left to :meth:`_Block.post_states`; ``weights`` pass through as they are.
     """
     rows, width = times.shape
     # the catastrophes' flat indices, row by row and each row in time order
@@ -394,7 +390,7 @@ def _run_events(times, kinds, counts, rng, land, late=None) -> _Block:
     # a row's largest state is its last or one just before a catastrophe
     sup = terminal.copy()
     np.maximum.at(sup, row, before)
-    return _Block(times, kinds, counts, terminal, sup, (flat, after - before), late)
+    return _Block(times, kinds, counts, terminal, sup, (flat, after - before), weights)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -424,8 +420,8 @@ def _decomposed_block(
 ) -> _Block:
     """Two merged Poisson streams under ``tilt`` (``theta2`` set), for a block of ``rows`` replicas.
 
-    The identity tilt is the plain two-stream decomposition of the process.
-    The block keeps the counts each row drew on the tilted window as ``late``.
+    ``TiltConfig()`` is the plain two-stream decomposition of the process.
+    The block carries each row's :meth:`TiltConfig.weight` of its window draws.
     """
     # the clock's alpha*T bounds every untilted stream, so only the tilted window can fail below
     _check_mean(params.alpha * T, rows, "T")
@@ -441,7 +437,7 @@ def _decomposed_block(
         streams.append((nb, _stream_keys(rng, nb, begin, span, EventKind.BIRTH)))
         streams.append((nc, _stream_keys(rng, nc, begin, span, EventKind.CATASTROPHE)))
     times, kinds, counts = _merge_keys(streams)
-    return _run_events(times, kinds, counts, rng, _drop_by, late=(nb, nc))
+    return _run_events(times, kinds, counts, rng, _drop_by, tilt.weight(nb, nc, params, T))
 
 
 def simulate_subordinated(params: ModelParams, spec: SimSpec) -> PathSample:
@@ -484,20 +480,6 @@ def scale_path(path: PathSample, T: float, grid_size: int) -> ScaledPath:
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     values = _grid_states(path.times[None], path.post_states[None], grid * T)[0] / T
     return ScaledPath(grid, values)
-
-
-def terminal_value(path: PathSample, T: float) -> float:
-    """Scaled population level at the end of the horizon."""
-    if path.n_events == 0:
-        return 0.0
-    return float(path.post_states[-1]) / T
-
-
-def sup_value(path: PathSample, T: float) -> float:
-    """Largest scaled population level over the whole horizon."""
-    if path.n_events == 0:
-        return 0.0
-    return float(path.post_states.max()) / T
 
 
 def optimal_path(x: float, params: ModelParams) -> OptimalPath:

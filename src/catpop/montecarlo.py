@@ -4,9 +4,9 @@ Naive estimation simply counts qualifying replicas.  For genuinely rare
 events the importance sampler simulates the two-stream construction under a
 ``model.TiltConfig`` shaped like the most probable deviation trajectory
 (idle, then climb), and corrects each replica by the exact likelihood ratio
-that the tilt computes from the counts its kernel drew.  Catastrophe
-landing draws are identical under both measures, so only the two stream
-intensities enter the weight.
+its block carries from the kernel that drew it.  Catastrophe landing draws
+are identical under both measures, so only the two stream intensities enter
+the weight.
 
 Replicas are simulated in blocks of ``streams.BLOCK``: block ``b`` runs
 replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through one block kernel on the
@@ -115,7 +115,6 @@ def _run_block(args) -> np.ndarray:
         block = _decomposed_block(params, T, rng, stop - start, tilt)
     if event is None:
         return block.terminal
-    weights = tilt.weight(*block.late, params, T)
     statistic, level = event
     hits = getattr(block, statistic) >= level
     rows = None
@@ -123,7 +122,7 @@ def _run_block(args) -> np.ndarray:
         # only the hits carry weight, so only their states are built and looked up
         hit = hits.nonzero()[0]
         rows = _grid_states(block.times[hit], block.post_states(hit), grid)
-    return _fold_block(weights, hits, rows)
+    return _fold_block(block.weights, hits, rows)
 
 
 def _block_bounds(n: int) -> list[tuple[int, int]]:
@@ -179,13 +178,14 @@ def _keep_heap() -> None:
 def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, grid=None) -> np.ndarray:
     """Run n replicas block by block, possibly across processes; merge in block order.
 
-    ``tilt=None`` runs the plain process.  With ``event`` = (``_Block`` statistic, level) a replica
-    hits at that level and each block returns its sums; without one, its terminal states.
+    Each block carries its rows' likelihood ratios under ``tilt``, ``TiltConfig()`` for the plain
+    process.  With ``event`` = (``_Block`` statistic, level) a replica hits at that level and each
+    block returns its sums; without one, its terminal states.
     """
     check_seed(seed)
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    tilt = (TiltConfig.identity() if tilt is None else tilt).at_horizon(params, T)
+    tilt = tilt.at_horizon(params, T)
     bounds = _block_bounds(n)
     workers = _worker_count(workers, len(bounds))
     args = [(params, T, tilt, construction, seed, start, stop, event, grid) for start, stop in bounds]
@@ -251,7 +251,7 @@ def estimate_tail_naive(
     Counts qualifying replicas of the two-stream construction; the 95%
     interval is a Wilson score interval.
     """
-    sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
+    sums = _run_replicas(params, T, TiltConfig(), "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
     return _fold_estimate(sums, T, n, seed)
 
 
@@ -289,7 +289,7 @@ def sup_exceedance_fraction(
         raise ValueError(f"eps must be finite and > 0 with eps*T finite, got eps={eps}, T={T}")
     # sup/T > eps is sup/T >= the next float above eps; tail_level rejects a bad T
     level = tail_level(float(np.nextafter(eps, math.inf)), T)
-    sums = _run_replicas(params, T, None, "decomposed", seed, n, workers, ("sup", level))
+    sums = _run_replicas(params, T, TiltConfig(), "decomposed", seed, n, workers, ("sup", level))
     return _fold_estimate(sums, T, n, seed)
 
 
@@ -382,4 +382,4 @@ def sample_terminal_states(
     """Terminal population levels of n independent replicas (for law checks)."""
     if construction not in ("subordinated", "decomposed"):
         raise ValueError(f"unknown construction {construction!r}")
-    return _run_replicas(params, T, None, construction, seed, n, workers)
+    return _run_replicas(params, T, TiltConfig(), construction, seed, n, workers)

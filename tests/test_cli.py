@@ -479,7 +479,7 @@ def test_naive_estimate_refuses_a_tilt(tmp_path, capsys, monkeypatch, key, sourc
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_config_is_keyed_by_option_names(command):
+def test_config_is_keyed_by_option_names(tmp_path, capsys, command):
     # one name per option: flag, config-file key, error key and cfg key
     required = {"T": "4", "x": "0.5", "eps": "0.5", "T-list": "4,8"}
     argv = [command]
@@ -489,6 +489,79 @@ def test_config_is_keyed_by_option_names(command):
     args = cli._parse_args(argv)
     cfg = cli._merge_config(command, args)
     assert set(cfg) == {opt.key for opt in cli._COMMON + cli._COMMANDS[command]["opts"]}
+    # another command's option is refused under its own name, as a flag and as a file key
+    config = tmp_path / "other.cfg"
+    for key in sorted({o.key for spec in cli._COMMANDS.values() for o in spec["opts"]} - set(cfg)):
+        config.write_text(f"{key} = 1\n")
+        for extra in ([f"--{key}", "1"], ["--config", str(config)]):
+            assert main([*argv, *extra]) == 2
+            assert json.loads(capsys.readouterr().err)["key"] == key
+
+
+# workers stays shared: test_byte_contract.py runs every command at --workers 1
+_SHARED = {"lambda", "mu", "alpha", "workers", "out", "format"}
+_TILT_KEYS = {"tilt-s", "tilt-theta1", "tilt-theta2"}
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("simulate", {"T", "method", "grid", "seed"}),
+        ("exact", {"T", "M", "K", "x"}),
+        ("rate", {"x", "grid"}),
+        ("estimate", {"T", "x", "n", "method", *_TILT_KEYS, "seed"}),
+        ("lln", {"T-list", "eps", "n", "seed"}),
+        ("sweep", {"T-list", "x", "n", "method", "seed"}),
+        ("paths", {"T", "x", "n", "grid", *_TILT_KEYS, "seed"}),
+    ],
+)
+def test_each_command_takes_exactly_the_options_it_reads(command, keys):
+    # a command that draws nothing at random takes no seed
+    assert {opt.key for opt in cli._COMMON + cli._COMMANDS[command]["opts"]} == _SHARED | keys
+    assert "seed" not in {opt.key for opt in cli._COMMON}
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["exact", "--T", "-1"], "T"),
+        (["simulate", "--T", "-1"], "T"),
+        (["estimate", "--T", "-1", "--x", "0.5", "--n", "10"], "T"),
+        (["estimate", "--T", "inf", "--x", "0.5", "--n", "10"], "T"),
+        (["paths", "--T", "-2", "--x", "0.5", "--n", "10"], "T"),
+        (["simulate", "--T", "nan"], "T"),
+        (["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--seed", "-1"], "seed"),
+        (["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--seed", str(2**64)], "seed"),
+        (["simulate", "--T", "4", "--seed", "-1"], "seed"),
+        (["estimate", "--T", "4", "--x", "inf", "--n", "10"], "x"),
+        (["sweep", "--T-list", "4", "--x", "nan", "--n", "10"], "x"),
+        (["exact", "--T", "4", "--x", "inf"], "x"),
+        (["exact", "--T", "4", "--workers", "3", "--seed", "9"], "seed"),
+        (["rate", "--grid", "2", "--seed", "5"], "seed"),
+    ],
+)
+def test_horizon_seed_level_and_ignored_flags_are_keyed(tmp_path, capsys, argv, key):
+    # each is refused by its cast, before any library call, with the flag named
+    rc, text = _run(tmp_path, *argv)
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--T", "0"],
+        ["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--seed", str(2**64 - 1)],
+    ],
+    ids=["exact-at-T-0", "largest-seed"],
+)
+def test_the_ends_of_the_horizon_and_seed_ranges_run(tmp_path, argv):
+    rc, text = _run(tmp_path, *argv)
+    assert rc == 0
+    assert text
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,6 @@ from catpop.model import (
     scale_path,
     simulate_decomposed,
     simulate_subordinated,
-    sup_value,
-    terminal_value,
     _check_mean,
     _decomposed_block,
     _drop_by,
@@ -104,7 +102,6 @@ def test_kernel_normalization_to_200(params):
 def test_subordinated_zero_horizon_limit():
     path = simulate_subordinated(P111, SimSpec(horizon_T=1e-12, seed=3))
     assert path.n_events == 0
-    assert terminal_value(path, 1e-12) == 0.0
 
 
 def test_subordinated_event_count_mean():
@@ -183,14 +180,13 @@ def test_block_rows_are_paths(kernel):
 @pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
 @pytest.mark.parametrize("tilt", [(0.0, 1.0, 1.0), (0.5, 2.0, 0.1)], ids=["identity", "tilted"])
 def test_block_reports_the_counts_it_drew_on_the_tilted_window(T, tilt):
-    s, theta1, theta2 = tilt
-    block = _decomposed_block(P111, T, replica_rng(37, 0), BLOCK, TiltConfig(s, theta1, theta2))
-    # reference: each row's births and catastrophes whose merged time lies after s*T
-    late = (block.times > s * T) & (block.times < np.inf)
+    tilt = TiltConfig(*tilt)
+    block = _decomposed_block(P111, T, replica_rng(37, 0), BLOCK, tilt)
+    # reference: the weight of each row's births and catastrophes whose merged time lies after s*T
+    late = (block.times > tilt.switch_time_s * T) & (block.times < np.inf)
     cats = np.count_nonzero(late & (block.kinds == EventKind.CATASTROPHE), axis=-1)
-    births, catastrophes = block.late
-    assert np.array_equal(births, np.count_nonzero(late, axis=-1) - cats)
-    assert np.array_equal(catastrophes, cats)
+    expected = tilt.weight(np.count_nonzero(late, axis=-1) - cats, cats, P111, T)
+    assert block.weights.tobytes() == expected.tobytes()
 
 
 
@@ -406,9 +402,9 @@ def _assert_kernel_matches_column_loop(times, kinds, counts, land):
 def _kernel_inputs(monkeypatch, make_block):
     seen = []
 
-    def spy(times, kinds, counts, rng, land, late=None):
+    def spy(times, kinds, counts, rng, land, weights=None):
         seen.append((times, kinds, counts, land))
-        return _run_events(times, kinds, counts, rng, land, late)
+        return _run_events(times, kinds, counts, rng, land, weights)
 
     monkeypatch.setattr("catpop.model._run_events", spy)
     make_block()
@@ -584,27 +580,22 @@ def test_scale_path_terminal_consistency():
     for i in range(50):
         path = simulate_decomposed(P111, SimSpec(4.0, 41, i))
         scaled = scale_path(path, 4.0, 13)
-        assert scaled.values[-1] == terminal_value(path, 4.0)
+        assert scaled.values[-1] == (path.post_states[-1] if path.n_events else 0) / 4.0
         assert scaled.values[0] == 0.0
 
 
 def test_terminal_and_sup_values():
-    assert terminal_value(_empty_path(), 3.0) == 0.0
-    assert sup_value(_empty_path(), 3.0) == 0.0
-    path = PathSample(
-        np.array([0.5, 1.0, 2.0]),
-        np.array([0, 0, 1], dtype=np.uint8),
-        np.array([1, 2, 1], dtype=np.int64),
-    )
-    T = 4.0
-    assert terminal_value(path, T) == 1 / T
-    assert sup_value(path, T) == 2 / T
+    # an empty row stays at 0; birth, birth, then a catastrophe from 2 landing on 2 // 2 = 1
+    block = _run_events(*_rows_of("", "BBC"), _HalfwayRng(), _land_at)
+    assert block.terminal.tolist() == [0, 1]
+    assert block.sup.tolist() == [0, 2]
 
 
 def test_sup_dominates_terminal():
-    for i in range(300):
-        path = simulate_subordinated(P111, SimSpec(6.0, 43, i))
-        assert sup_value(path, 6.0) >= terminal_value(path, 6.0)
+    for kernel in (_subordinated_block, _decomposed_block):
+        block = kernel(P111, 6.0, replica_rng(43, 0), BLOCK)
+        assert np.all(block.sup >= block.terminal)
+        assert np.any(block.sup > block.terminal)
 
 
 def test_optimal_path_branches():

@@ -22,7 +22,6 @@ from catpop.model import (
     optimal_path,
     scale_path,
     simulate_decomposed,
-    terminal_value,
 )
 from catpop.montecarlo import (
     EstimateResult,
@@ -58,8 +57,9 @@ def test_tilt_validation():
             TiltConfig(theta1=bad)
         with pytest.raises(ValueError, match="theta2"):
             TiltConfig(theta2=bad)
-    identity = TiltConfig.identity()
-    assert identity.switch_time_s == 0.0 and identity.theta1 == 1.0 and identity.theta2 == 1.0
+    # the defaults are the plain measure: no window start, unit multipliers, every weight 1
+    assert TiltConfig() == TiltConfig(0.0, 1.0, 1.0)
+    assert TiltConfig().weight(np.array([0, 7, 0]), np.array([0, 0, 5]), P111, 4.0).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_default_tilt_below_clock_rate():
@@ -112,7 +112,7 @@ def test_default_tilt_at_a_level_below_rounding_is_accurate():
 
 
 def test_likelihood_ratio_identity_is_one():
-    tilt = TiltConfig.identity()
+    tilt = TiltConfig()
     for i in range(40):
         path = simulate_decomposed(P111, SimSpec(4.0, 5, i))
         assert likelihood_ratio(path, tilt, P111, 4.0) == 1.0
@@ -181,23 +181,26 @@ def _replica_weights_and_hits(block, tilt, T, x):
     # likelihood_ratio and the terminal event of each of the block's own rows, one path at a time
     paths = [block.path(r) for r in range(block.terminal.size)]
     w = np.array([likelihood_ratio(path, tilt, P111, T) for path in paths])
-    hits = np.array([terminal_value(path, T) >= x for path in paths])
+    hits = np.array([(path.post_states[-1] if path.n_events else 0) / T >= x for path in paths])
     return paths, w, hits
 
 
-@pytest.mark.parametrize("x, T", [(0.5, 40.0), (0.05, 160.0)])
-def test_collected_weights_are_likelihood_ratios_of_their_replicas(x, T):
+@pytest.mark.parametrize(
+    "x, T, tilted",
+    [(0.5, 40.0, True), (0.05, 160.0, True), (2.0, 160.0, True), (0.5, 4.0, False)],
+    ids=["0.5-40.0", "0.05-160.0", "2.0-160.0", "identity-0.5-4.0"],
+)
+def test_collected_weights_are_likelihood_ratios_of_their_replicas(x, T, tilted):
     # the estimators weight each replica by likelihood_ratio of the kernel's own path,
     # and each block folds those weights where it is simulated; at x = 0.05 s*T is inexact
     seed, n = 71, 2_000
-    tilt = default_tilt(x, P111)
+    tilt = default_tilt(x, P111) if tilted else TiltConfig()
     at_T = tilt.at_horizon(P111, T)
     event = ("terminal", tail_level(x, T))
     total = 0.0
     for (start, stop), block in zip(_block_bounds(n), _tilted_blocks(T, tilt, n, seed)):
         _, w, hits = _replica_weights_and_hits(block, tilt, T, x)
-        block_weights = at_T.weight(*block.late, P111, T)
-        assert np.array_equal(block_weights, w)
+        assert np.array_equal(block.weights, w)
         sums = montecarlo._run_block((P111, T, at_T, "decomposed", seed, start, stop, event, None))
         h = np.where(hits, w, 0.0)
         expected = [h.sum(), (h * h).sum(), w.sum(), (w * w).sum()]
@@ -294,7 +297,7 @@ def test_lattice_boundary_levels_agree_with_oracle(T, k, side):
 
 def test_identity_tilt_reduces_to_naive_exactly():
     naive = estimate_tail_naive(P111, 4.0, 0.5, 8_000, 19)
-    weighted = estimate_tail_is(P111, 4.0, 0.5, TiltConfig.identity(), 8_000, 19)
+    weighted = estimate_tail_is(P111, 4.0, 0.5, TiltConfig(), 8_000, 19)
     assert weighted.p_hat == naive.p_hat
     assert weighted.std_err == naive.std_err
     assert weighted.log_rate == naive.log_rate

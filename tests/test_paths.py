@@ -97,7 +97,7 @@ def test_hit_only_fold_equals_the_all_rows_fold(T, case):
     grid = np.linspace(0.0, 1.0, 101) * T
     got = _run_block((P111, T, tilt, "decomposed", seed, 0, BLOCK, ("terminal", level), grid))
     block = _decomposed_block(P111, T, replica_rng(seed, 0), BLOCK, tilt)
-    weights = tilt.weight(*block.late, P111, T)
+    weights = block.weights
     hits = block.terminal >= level
     assert {"every-row-hits": hits.all(), "some-rows-hit": 0 < hits.sum() < BLOCK, "no-row-hits": not hits.any()}[case]
     h = np.where(hits, weights, 0.0)
