@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 import io
 import json
 import math
@@ -211,6 +212,8 @@ def _cmd_simulate(cfg: dict, params: ModelParams):
 
 
 def _cmd_exact(cfg: dict, params: ModelParams):
+    if cfg["x"] is not None and cfg["T"] == 0:
+        raise ConfigError("T must be > 0 with x: the tail level x*T needs a positive horizon, got T=0", key="T")
     pmf = exact_state_distribution(params, cfg["T"], cfg["M"], cfg["K"])
     doc = {
         "T": cfg["T"],
@@ -399,9 +402,11 @@ _COMMANDS: dict[str, dict] = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    # argparse raises its errors (exit_on_error=False) for _parse_args to key;
-    # a flag is only its exact name, as a config-file key is
+    # built once per process: the parser keeps no per-call state, each parse_known_args
+    # returns a fresh namespace; argparse raises its errors (exit_on_error=False) for
+    # _parse_args to key; a flag is only its exact name, as a config-file key is
     strict = {"exit_on_error": False, "allow_abbrev": False}
     parser = argparse.ArgumentParser(
         prog="catpop",

@@ -18,18 +18,30 @@ grid rows of its hits alone: a missed row would add h·row = +0.0, which
 leaves a sum of nonnegative terms bit for bit as it is.
 The block sums are added in block order, so the final figures are identical
 for any worker count and memory does not grow with the replica count; only
-:func:`sample_terminal_states` returns one value per replica.  Pool workers
-keep the memory one block frees for the next (:func:`_keep_heap`); the
-calling process is left as it is.
+:func:`sample_terminal_states` returns one value per replica.
+
+The worker pool lives for the process: the first call that needs two or
+more workers forks it, and every later call with the same worker count,
+each horizon of a sweep included, reuses it (:func:`_map_blocks`).  A call
+with another count shuts it down before forking its own, a pool that breaks
+is dropped, a forked child starts without one, and at exit
+``concurrent.futures`` joins the workers.  Workers
+therefore see module state as of their fork, not as of the call: code that
+patches this module, the model or the executor must shut the pool down
+(:func:`_shutdown_pool`) before its first call and after its last.  Idle
+workers keep the memory one block frees for the next (:func:`_keep_heap`),
+between calls too; the calling process is left as it is.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 import ctypes
 from dataclasses import dataclass
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -167,12 +179,64 @@ def _keep_heap() -> None:
     soon as they are freed, so the next block page-faults the same memory
     back in.  A fixed mmap threshold of 32 MiB, glibc's largest, puts a
     block's arrays on the heap, and a trim threshold of 1 GiB keeps it there.
-    Without ``mallopt`` this does nothing.
+    The pool lives for the process, so an idle worker holds that memory
+    until the next call or the pool's shutdown.  Without ``mallopt`` this
+    does nothing.
     """
     mallopt = _mallopt()
     if mallopt is not None:
         for param, value in _KEEP_HEAP:
             mallopt(param, value)
+
+
+# the process's worker pool and its worker count; calls take _pool_lock to use or replace them
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.RLock()
+
+
+def _map_blocks(args: list, workers: int) -> list:
+    """Run the blocks on the process's pool of ``workers`` workers, forked on first use; results in block order.
+
+    A pool of another size is shut down before the new one forks, so no fork
+    happens while the old pool's threads run.  A dead worker breaks the whole
+    pool: the call that meets it raises ``BrokenProcessPool`` and the pool is
+    dropped, so the next call forks a fresh one.
+    """
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers != workers:
+            _shutdown_pool()
+        if _pool is None:
+            _pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap)
+            _pool_workers = workers
+        try:
+            return list(_pool.map(_run_block, args))
+        except BrokenProcessPool:
+            _shutdown_pool()
+            raise
+
+
+def _shutdown_pool() -> None:
+    """Shut the process's pool down and join its workers; the next call that needs one forks a fresh pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+            _pool = None
+
+
+def _forget_pool() -> None:
+    """In a forked child, drop the parent's pool, whose threads and workers stay with the parent.
+
+    The lock is new too: the parent holds it while it forks its own workers.
+    """
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, grid=None) -> np.ndarray:
@@ -192,8 +256,7 @@ def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, g
     if workers == 1:
         blocks = [_run_block(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap) as pool:
-            blocks = list(pool.map(_run_block, args))
+        blocks = _map_blocks(args, workers)
     return np.concatenate(blocks) if event is None else sum(blocks)  # sum adds in block order
 
 

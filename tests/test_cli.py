@@ -564,6 +564,23 @@ def test_the_ends_of_the_horizon_and_seed_ranges_run(tmp_path, argv):
     assert text
 
 
+def test_exact_refuses_a_level_at_T_0_before_computing_the_law(tmp_path, capsys, monkeypatch):
+    laws = []
+    monkeypatch.setattr(cli, "exact_state_distribution", lambda *args: laws.append(args))
+    rc, text = _run(tmp_path, "exact", "--T", "0", "--x", "0.5")
+    assert rc == 2
+    assert text == ""
+    assert laws == []
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "T"
+    monkeypatch.undo()
+    # the law alone is defined at T = 0: all its mass sits at state 0
+    rc, text = _run(tmp_path, "exact", "--T", "0")
+    assert rc == 0
+    assert json.loads(text)["masses"][0] == 1.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

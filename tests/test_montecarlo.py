@@ -1,8 +1,12 @@
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 import math
+import multiprocessing
+from multiprocessing.connection import wait
 import os
 from pathlib import Path
+import signal
 import subprocess
 import sys
 
@@ -43,6 +47,26 @@ from catpop.streams import BLOCK, derive_seed, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 EXACT_TAIL_111_T4_X05 = 0.364847004572957
+
+
+@pytest.fixture
+def fresh_pool():
+    """The process's worker pool shut down before and after the test.
+
+    The pool lives for the process and its workers see module state as of
+    their fork, so a test that patches the executor or counts the pools it
+    starts begins without one and leaves none behind.
+    """
+    montecarlo._shutdown_pool()
+    yield
+    montecarlo._shutdown_pool()
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's catpop."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_tilt_validation():
@@ -364,7 +388,7 @@ def test_worker_count_capped_at_cpus_and_replicas(monkeypatch):
         _worker_count(0, 10)
 
 
-def test_workers_above_replica_count_run_in_process(monkeypatch):
+def test_workers_above_replica_count_run_in_process(monkeypatch, fresh_pool):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single replica must not start a process pool")
 
@@ -381,21 +405,18 @@ def test_block_bounds_are_multiples_of_the_block_size():
         assert [stop for _, stop in bounds] == [min((b + 1) * BLOCK, n) for b in range(len(bounds))]
 
 
-def test_pool_never_larger_than_the_block_count(monkeypatch):
+def test_pool_never_larger_than_the_block_count(monkeypatch, fresh_pool):
     sizes = []
 
     class InProcessPool:
         def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, args):
             return map(fn, args)
+
+        def shutdown(self):
+            pass
 
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
@@ -404,7 +425,7 @@ def test_pool_never_larger_than_the_block_count(monkeypatch):
     assert sizes == [2, 3]
 
 
-def test_pool_workers_keep_their_heap_and_give_the_same_bytes(monkeypatch):
+def test_pool_workers_keep_their_heap_and_give_the_same_bytes(monkeypatch, fresh_pool):
     initializers = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -419,8 +440,93 @@ def test_pool_workers_keep_their_heap_and_give_the_same_bytes(monkeypatch):
     one = collect_weighted_paths(P111, 40.0, 0.5, tilt, n, 101, grid_size=20, workers=1)
     two = collect_weighted_paths(P111, 40.0, 0.5, tilt, n, 101, grid_size=20, workers=2)
     assert one.row_sum.tobytes() == two.row_sum.tobytes() and one.total_weight == two.total_weight
-    # the caller's own process (workers=1) starts no pool and keeps its allocator settings
-    assert initializers == [montecarlo._keep_heap] * 2
+    # the caller's own process (workers=1) starts no pool and keeps its allocator settings,
+    # and both workers=2 calls run on the one pool
+    assert initializers == [montecarlo._keep_heap]
+
+
+def test_one_pool_serves_every_call_and_horizon(monkeypatch, fresh_pool):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    n, tilt = 3 * BLOCK + 5, default_tilt(0.5, P111)
+    one = estimate_tail_is(P111, 40.0, 0.5, tilt, n, 103, workers=1)
+    assert estimate_tail_is(P111, 40.0, 0.5, tilt, n, 103, workers=2) == one
+    assert estimate_tail_is(P111, 40.0, 0.5, tilt, n, 103, workers=2) == one
+    assert len(pools) == 1
+    montecarlo._shutdown_pool()
+    horizons = [4.0, 8.0, 16.0]
+    one = rate_curve_sweep(P111, 0.5, horizons, "is", n, 107, workers=1)
+    assert all(point.result is not None for point in one)
+    assert rate_curve_sweep(P111, 0.5, horizons, "is", n, 107, workers=2) == one
+    assert len(pools) == 2
+
+
+def test_a_killed_worker_fails_its_call_and_the_next_forks_a_fresh_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    n, tilt = 3 * BLOCK + 5, default_tilt(0.5, P111)
+    one = estimate_tail_is(P111, 40.0, 0.5, tilt, n, 109, workers=1)
+    assert estimate_tail_is(P111, 40.0, 0.5, tilt, n, 109, workers=2) == one
+    pool = montecarlo._pool
+    # a worker of the pool this test forked, and no other process
+    victim = next(iter(pool._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait([victim.sentinel], timeout=60)
+    with pytest.raises(BrokenProcessPool):
+        estimate_tail_is(P111, 40.0, 0.5, tilt, n, 109, workers=2)
+    assert montecarlo._pool is None
+    assert estimate_tail_is(P111, 40.0, 0.5, tilt, n, 109, workers=2) == one
+    assert montecarlo._pool not in (None, pool)
+
+
+def _estimate_in_forked_child(expected) -> None:
+    # the parent's pool is not this process's: the child forks and shuts down its own
+    assert montecarlo._pool is None
+    estimate = estimate_tail_is(P111, 40.0, 0.5, default_tilt(0.5, P111), 3 * BLOCK + 5, 127, workers=2)
+    assert montecarlo._pool is not None
+    montecarlo._shutdown_pool()
+    assert estimate == expected
+
+
+# the fork under test happens while the parent's pool threads run, which Python 3.12+ warns about
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_forks_its_own_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    expected = estimate_tail_is(P111, 40.0, 0.5, default_tilt(0.5, P111), 3 * BLOCK + 5, 127, workers=2)
+    child = multiprocessing.get_context("fork").Process(target=_estimate_in_forked_child, args=(expected,))
+    child.start()
+    child.join(timeout=120)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(timeout=10)
+    assert not hung and child.exitcode == 0
+
+
+def test_workers_are_joined_when_the_process_exits():
+    code = (
+        "import os\n"
+        "from catpop import montecarlo\n"
+        "from catpop.model import ModelParams\n"
+        "from catpop.streams import BLOCK\n"
+        "os.cpu_count = lambda: 2\n"
+        "P = ModelParams(1.0, 1.0, 1.0)\n"
+        "montecarlo.estimate_tail_is(P, 40.0, 0.5, montecarlo.default_tilt(0.5, P), 3 * BLOCK, 113, workers=2)\n"
+        "print(*montecarlo._pool._processes)\n"
+    )
+    out = _run_child(code)
+    assert out.returncode == 0, out.stderr
+    pids = [int(pid) for pid in out.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_keep_heap_sets_both_thresholds_through_mallopt(monkeypatch):
@@ -447,9 +553,7 @@ def test_glibc_accepts_the_heap_settings():
         "mallopt = _mallopt()\n"
         "print('absent' if mallopt is None else [mallopt(p, v) for p, v in _KEEP_HEAP])\n"
     )
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    out = _run_child(code)
     assert out.returncode == 0, out.stderr
     if out.stdout.strip() == "absent":
         pytest.skip("this C library has no mallopt")
