@@ -125,13 +125,14 @@ _COMMON = [
     Opt("lambda", _positive, 1.0, "growth weight, finite and > 0"),
     Opt("mu", _positive, 1.0, "catastrophe weight, finite and > 0"),
     Opt("alpha", _positive, 1.0, "event-clock rate, finite and > 0"),
-    Opt("workers", _int_in(1), 1, "worker processes for replica fan-out, >= 1"),
     Opt("out", str, None, "output file (default: stdout)"),
     Opt("format", str, None, "output format", choices=("csv", "json")),
 ]
 
 # only the commands that draw at random take a seed
 _SEED = Opt("seed", _int_in(0, 2**64 - 1), 0, "base seed, an integer in [0, 2**64)")
+# only the commands that run replicas in blocks spread them over worker processes
+_WORKERS = Opt("workers", _int_in(1), 1, "worker processes for replica fan-out, >= 1")
 
 _TILT = [
     Opt("tilt-s", float, None, "override: scaled time where tilting begins"),
@@ -361,6 +362,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("method", str, "naive", "estimator", choices=("naive", "is")),
             *_TILT,
             _SEED,
+            _WORKERS,
         ],
     },
     "lln": {
@@ -372,6 +374,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("eps", _positive, _REQUIRED, "exceedance level, finite and > 0"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
             _SEED,
+            _WORKERS,
         ],
     },
     "sweep": {
@@ -384,6 +387,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count per horizon"),
             Opt("method", str, "is", "estimator", choices=("naive", "is")),
             _SEED,
+            _WORKERS,
         ],
     },
     "paths": {
@@ -397,6 +401,7 @@ _COMMANDS: dict[str, dict] = {
             Opt("grid", _int_in(1, MAX_GRID), 100, "scaled-path grid steps"),
             *_TILT,
             _SEED,
+            _WORKERS,
         ],
     },
 }

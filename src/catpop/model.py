@@ -18,24 +18,39 @@ Two independent constructions of the same process are provided:
 
 Each construction is one block kernel: a call simulates a block of replicas
 from one generator, one row per replica, and steps every row through its
-sorted events catastrophe by catastrophe.  A row's events are sorted by one
-in-place sort: of its times for the jump chain, and of packed
-``(time, kind)`` uint64 keys for the two streams, so that a birth comes
-before a catastrophe at the same time.  Each stream's times become keys
-while they are still the vector of draws, and the keys land in one matrix
-padded with the ``+inf`` birth key.  The order depends on the drawn values
-alone.  Births only add one each, so the loop visits each row's k-th
-catastrophe, k = 0, 1, ..., reads the births since the row's previous one
-from its column, and draws the landings in (catastrophe rank, row) order:
-time order for a one-row block.  Each row's last and largest states come
-out of that loop; the state after every event is one cumulative sum per
-row, built only for the rows a caller asks for.
+events catastrophe by catastrophe.  Births only add one each, so the loop
+(:func:`_land_ranked`) visits each row's k-th catastrophe, k = 0, 1, ...,
+adds the births since the row's previous one, and draws the landings in
+(catastrophe rank, row) order: time order for a one-row block.  Each row's
+last and largest states come out of that loop; the state after every event
+is one cumulative sum per row, built only for the rows a caller asks for.
+
+The loop needs each catastrophe's births before it.  The jump chain sorts
+each row's clock times in place and reads them off a catastrophe's column
+less its rank.  The two-stream kernel counts them one of two ways, chosen
+per block from the expected counts.  On the merge path each stream's times
+become packed ``(time, kind)`` uint64 keys while they are still the vector
+of draws; the keys land in one matrix padded with the ``+inf`` birth key,
+and one in-place sort of each row orders them by value alone, a birth
+before a catastrophe at the same time.  When every segment of the window
+expects at most kappa = ``SPARSE_CATASTROPHES_PER_BIRTH`` = 0.2
+catastrophes per birth, the block takes the sparse path instead: it draws
+each row's catastrophe times, sorts those few, and draws the births in each
+gap between them as one Poisson count, so no birth time is drawn.  At
+T = 160 with 320 births per row, a block of 1024 rows takes about 0.7 ms
+that way against 5-8 ms merged, and the two paths break even near 0.2-0.25
+catastrophes per birth.  A sparse block draws its event times only when
+something reads them (``_Block.times``, ``kinds``, :meth:`_Block.path`):
+uniform within their gaps, from the block's generator as it stood after the
+block's own draws, so they depend on the seed and the block alone.
+
 :class:`TiltConfig` is the two-stream kernel's sampling measure and
-``TiltConfig()`` the plain one; the kernel weighs each row by its births
-and catastrophes on the tilted window, so each block carries its rows'
-likelihood ratios.  Each kernel checks a Poisson mean against one per-block
-event budget just before drawing from it.  The simulators above are the
-one-replica block; the Monte Carlo estimators run blocks of ``streams.BLOCK``.
+``TiltConfig()`` the plain one; the kernel counts each row's births and
+catastrophes on the tilted window, and the block weighs its rows from those
+counts when its weights are read.  Each kernel checks every Poisson mean
+against one per-block event budget before it draws.  The simulators above
+are the one-replica block; the Monte Carlo estimators run blocks of
+``streams.BLOCK``.
 
 Paths are stored as change points only.  :func:`scale_path` produces the
 scaled path ``t -> state(T*t)/T`` on ``[0, 1]``, and :func:`optimal_path`
@@ -46,8 +61,11 @@ for small levels, a straight line from the origin for large ones.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+import copy
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property, partial
 import math
 
 import numpy as np
@@ -204,24 +222,39 @@ class OptimalPath:
 class _Block:
     """Events and states of a block of replicas, one row per replica.
 
-    ``times`` holds each row's sorted event times, padded with ``+inf`` past
-    its ``counts`` events; at equal times a birth comes before a catastrophe
-    (:func:`_merge_keys`).  ``kinds`` is 0 on the padding.  ``terminal`` and
-    ``sup`` are each row's last and largest states.  ``jumps`` holds the flat
-    index in ``times`` of every catastrophe and the state change it made,
+    ``counts`` holds each row's event count, and ``terminal`` and ``sup``
+    each row's last and largest states.  ``jumps`` holds the row, the column
+    among the row's sorted events and the state change of every catastrophe,
     from which :meth:`post_states` builds the states of the rows a caller
-    asks for.  ``weights`` holds each row's likelihood ratio, which the
-    two-stream kernel weighs where it draws the row; the never-tilted jump
-    chain leaves it ``None``.
+    asks for.  ``times`` holds each row's sorted event times, padded with
+    ``+inf`` past its ``counts`` events, and ``kinds`` is 0 on the padding;
+    both come from ``events`` on first read, so a block that nothing reads
+    them from never builds them.  ``weights`` holds each row's likelihood
+    ratio, from ``weigh`` on first read; the never-tilted jump chain has none.
     """
 
-    times: np.ndarray
-    kinds: np.ndarray
     counts: np.ndarray
     terminal: np.ndarray
     sup: np.ndarray
-    jumps: tuple[np.ndarray, np.ndarray]
-    weights: np.ndarray | None = None
+    jumps: tuple[np.ndarray, np.ndarray, np.ndarray]
+    events: Callable[[], tuple[np.ndarray, np.ndarray]]
+    weigh: Callable[[], np.ndarray] | None = None
+
+    @cached_property
+    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.events()
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._merged[0]
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return self._merged[1]
+
+    @cached_property
+    def weights(self) -> np.ndarray | None:
+        return None if self.weigh is None else self.weigh()
 
     def post_states(self, rows: np.ndarray) -> np.ndarray:
         """State after each event of ``rows`` (distinct row indices), the terminal state repeated on the padding.
@@ -229,16 +262,15 @@ class _Block:
         Only the asked rows are built, each one cumulative sum: every event
         adds one except a catastrophe, which adds its jump.
         """
-        n, width = len(rows), self.times.shape[1]
-        positions, jumps = self.jumps
+        n, width = len(rows), int(self.counts.max(initial=0))
+        row, column, jumps = self.jumps
         # each block row moves to its row in the result; the rows not asked for
         # all move to one extra last row, which is dropped
         target = np.full(self.counts.size, n)
         target[rows] = np.arange(n)
-        shift = (target - np.arange(self.counts.size)) * width
         post = np.zeros((n + 1, width), dtype=np.int64)
         np.less(np.arange(width), self.counts[rows, None], out=post[:n])
-        post.reshape(-1)[positions + shift[positions // width]] = jumps
+        post[target[row], column] = jumps
         post = post[:n]
         return post.cumsum(axis=1, out=post)
 
@@ -279,7 +311,7 @@ def _check_mean(mean: float, rows: int, field: str) -> float:
     return mean
 
 
-def _uniform_times(rng: np.random.Generator, size: int, start: float, length: float) -> np.ndarray:
+def _uniform_times(rng: np.random.Generator, size: int, start, length) -> np.ndarray:
     """``size`` uniform event times on (start, start+length], as ``start + length*(1 - U)`` in place."""
     u = rng.random(size)
     np.subtract(1.0, u, out=u)
@@ -288,8 +320,11 @@ def _uniform_times(rng: np.random.Generator, size: int, start: float, length: fl
     return u
 
 
-def _padded_times(rng: np.random.Generator, counts: np.ndarray, start: float, length: float) -> np.ndarray:
-    """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r."""
+def _padded_times(rng: np.random.Generator, counts: np.ndarray, start, length) -> np.ndarray:
+    """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r.
+
+    ``start`` and ``length`` are numbers, or one value per event, row by row.
+    """
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     times = np.full(live.shape, np.inf)
     times[live] = _uniform_times(rng, int(counts.sum()), start, length)
@@ -341,36 +376,25 @@ def _merge_keys(streams: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return keys.view(np.float64), kinds, counts
 
 
-def _run_events(times, kinds, counts, rng, land, weights=None) -> _Block:
-    """Step every row of a block through its sorted events, catastrophe by catastrophe.
+def _land_ranked(row, rank, births, per_row, counts, rng, land):
+    """The catastrophe loop of both kernels: each row's last and largest states, and the jumps of its catastrophes.
 
-    Rows come sorted from one in-place sort (:func:`_merge_keys` for the
-    two streams, births first on ties), with ``kinds`` 0 on the padding.
-
-    A birth, or any event of the empty population, adds one; a catastrophe
-    at level m draws u uniform on {0, ..., m-1} (``Generator.integers`` with
-    an array bound, unbiased per element) and moves to ``land(m, u)``.  Only
-    catastrophes need the state, so the loop visits each row's k-th
-    catastrophe for k = 0, 1, ... and reads the births before it from its
-    column: the landing draws are taken in (catastrophe rank, row) order,
-    which for a one-row block is time order.  The state after every event
-    is left to :meth:`_Block.post_states`; ``weights`` pass through as they are.
+    ``rank`` and ``row`` list every catastrophe in (rank, row) order, rank k
+    holding the k-th catastrophe of each row that has one, ``births`` the
+    births of its row before it, ``per_row`` each row's catastrophes and
+    ``counts`` its events.  A birth, or any event of the empty population,
+    adds one; a catastrophe at level m draws u uniform on {0, ..., m-1}
+    (``Generator.integers`` with an array bound, unbiased per element) and
+    moves to ``land(m, u)``.  Births only add one, so the loop visits rank
+    k = 0, 1, ... and adds the births since each row's previous catastrophe:
+    the landing draws are taken in (rank, row) order, which for a one-row
+    block is time order.  A catastrophe's column among its row's events is
+    its births before plus its rank.
     """
-    rows, width = times.shape
-    # the catastrophes' flat indices, row by row and each row in time order
-    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
-    row = flat // width
-    per_row = np.bincount(row, minlength=rows)
-    ranks = int(per_row.max(initial=0))
-    # rank k holds, in row order, the k-th catastrophe of each row that has one
-    row = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
-    rank = row // rows
-    row -= rank * rows
-    flat = flat[(per_row.cumsum() - per_row)[row] + rank]
-    births = flat - row * width - rank  # before the catastrophe: its column less its rank
+    ranks = int(rank[-1]) + 1 if rank.size else 0
     bounds = rank.searchsorted(np.arange(ranks + 1)).tolist()
     # a row's state after its latest catastrophe, less the births before that catastrophe
-    offset = np.zeros(rows, dtype=np.int64)
+    offset = np.zeros(counts.size, dtype=np.int64)
     before = np.empty(rank.size, dtype=np.int64)
     after = np.empty(rank.size, dtype=np.int64)
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -390,7 +414,30 @@ def _run_events(times, kinds, counts, rng, land, weights=None) -> _Block:
     # a row's largest state is its last or one just before a catastrophe
     sup = terminal.copy()
     np.maximum.at(sup, row, before)
-    return _Block(times, kinds, counts, terminal, sup, (flat, after - before), weights)
+    return terminal, sup, (row, births + rank, after - before)
+
+
+def _run_events(times, kinds, counts, rng, land, weigh=None) -> _Block:
+    """Step every row of a block through its sorted events, catastrophe by catastrophe (:func:`_land_ranked`).
+
+    Rows come sorted from one in-place sort (:func:`_merge_keys` for the
+    two streams, births first on ties), with ``kinds`` 0 on the padding.
+    Each catastrophe's births before it are its column less its rank.  The
+    state after every event is left to :meth:`_Block.post_states`.
+    """
+    rows, width = times.shape
+    # the catastrophes' flat indices, row by row and each row in time order
+    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
+    per_row = np.bincount(flat // width, minlength=rows)
+    ranks = int(per_row.max(initial=0))
+    # rank k holds, in row order, the k-th catastrophe of each row that has one
+    row = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
+    rank = row // rows
+    row -= rank * rows
+    flat = flat[(per_row.cumsum() - per_row)[row] + rank]
+    births = flat - row * width - rank  # before the catastrophe: its column less its rank
+    terminal, sup, jumps = _land_ranked(row, rank, births, per_row, counts, rng, land)
+    return _Block(counts, terminal, sup, jumps, lambda: (times, kinds), weigh)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -415,13 +462,26 @@ def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator,
     return _run_events(times, kinds, counts, rng, _land_at)
 
 
+# kappa: a two-stream block counts its births by gaps (:func:`_sparse_block`)
+# when every segment of its window expects at most this many catastrophes per
+# birth, and merges its sorted streams (:func:`_merged_block`) otherwise.  On
+# one block of 1024 rows at T = 160 with 320 births per row, the sparse path
+# took 0.2-0.75x the merge path's time up to 0.1 catastrophes per birth,
+# 0.84-0.99x at 0.2, 0.9-1.17x at 0.25 and 0.9-1.26x from 0.3 on.
+SPARSE_CATASTROPHES_PER_BIRTH = 0.2
+
+
 def _decomposed_block(
     params: ModelParams, T: float, rng: np.random.Generator, rows: int, tilt: TiltConfig = TiltConfig()
 ) -> _Block:
     """Two merged Poisson streams under ``tilt`` (``theta2`` set), for a block of ``rows`` replicas.
 
     ``TiltConfig()`` is the plain two-stream decomposition of the process.
-    The block carries each row's :meth:`TiltConfig.weight` of its window draws.
+    The window is cut into segments of constant intensities, the plain one
+    before ``s*T`` and the tilted one after it, and every mean is checked
+    against the budget before anything is drawn.  The block weighs each row
+    by :meth:`TiltConfig.weight` of its births and catastrophes on the
+    tilted window when its weights are read.
     """
     # the clock's alpha*T bounds every untilted stream, so only the tilted window can fail below
     _check_mean(params.alpha * T, rows, "T")
@@ -429,15 +489,100 @@ def _decomposed_block(
     r1, r2 = params.birth_rate, params.catastrophe_rate
     segments = [(0.0, start, r1, r2)] if start > 0.0 else []
     segments.append((start, length, tilt.theta1 * r1, tilt.theta2 * r2))
+    for _, span, rb, rc in segments:
+        _check_mean(rb * span, rows, "theta1")
+        _check_mean(rc * span, rows, "theta2")
+    weight = partial(tilt.weight, params=params, T=T)
+    if all(rc * span <= SPARSE_CATASTROPHES_PER_BIRTH * (rb * span) for _, span, rb, rc in segments):
+        return _sparse_block(segments, rng, rows, weight)
+    return _merged_block(segments, rng, rows, weight)
 
+
+def _merged_block(segments, rng: np.random.Generator, rows: int, weight) -> _Block:
+    """Each segment's births and catastrophes drawn as two streams of times, merged and sorted row by row."""
     streams = []
     for begin, span, rb, rc in segments:
-        nb = rng.poisson(_check_mean(rb * span, rows, "theta1"), size=rows)
-        nc = rng.poisson(_check_mean(rc * span, rows, "theta2"), size=rows)
+        nb = rng.poisson(rb * span, size=rows)
+        nc = rng.poisson(rc * span, size=rows)
         streams.append((nb, _stream_keys(rng, nb, begin, span, EventKind.BIRTH)))
         streams.append((nc, _stream_keys(rng, nc, begin, span, EventKind.CATASTROPHE)))
     times, kinds, counts = _merge_keys(streams)
-    return _run_events(times, kinds, counts, rng, _drop_by, tilt.weight(nb, nc, params, T))
+    return _run_events(times, kinds, counts, rng, _drop_by, partial(weight, nb, nc))
+
+
+def _gap_counts(rng: np.random.Generator, rows: int, begin: float, span: float, rb: float, rc: float):
+    """One segment of a sparse block: each row's catastrophe times and its births in the gaps between them.
+
+    Row r draws Poisson(rc*span) catastrophe times uniform on (begin,
+    begin+span], sorted and padded with ``+inf``; they cut the segment into
+    gaps, and the births in each gap are one Poisson(rb * gap length) count.
+    Returns the catastrophe counts and times, the gap edges (the segment's
+    ends around the times, the padding at the end) and the gap counts, gap j
+    ending at catastrophe j and the gaps past a row's last one empty.
+    """
+    nc = rng.poisson(rc * span, size=rows)
+    cats = _padded_times(rng, nc, begin, span)
+    cats.sort(axis=1)
+    end = begin + span
+    edges = np.concatenate((np.full((rows, 1), begin), np.minimum(cats, end), np.full((rows, 1), end)), axis=1)
+    born = rng.poisson(rb * np.diff(edges, axis=1))
+    return nc, cats, edges, born
+
+
+def _sparse_block(segments, rng: np.random.Generator, rows: int, weight) -> _Block:
+    """Each segment's catastrophes drawn first and the births between them counted (:func:`_gap_counts`).
+
+    A row's birth and catastrophe counts, and so its state sequence and its
+    weight, come out of the counts alone.  The event times are built on
+    first read (:func:`_sparse_events`), from the generator as it stands
+    after the block's own draws.
+    """
+    gaps = [_gap_counts(rng, rows, *segment) for segment in segments]
+    # births before each catastrophe of a row, its segments in time order
+    prior = np.zeros(rows, dtype=np.int64)
+    before, live = [], []
+    for nc, cats, _, born in gaps:
+        before.append(prior[:, None] + born[:, :-1].cumsum(axis=1))
+        live.append(np.arange(cats.shape[1]) < nc[:, None])
+        prior += born.sum(axis=1)
+    per_row = sum(nc for nc, *_ in gaps)
+    # a row's catastrophes of every segment, left-aligned: column k holds its k-th
+    ranked = np.arange(per_row.max(initial=0)) < per_row[:, None]
+    births = np.zeros(ranked.shape, dtype=np.int64)
+    births[ranked] = np.concatenate(before, axis=1)[np.concatenate(live, axis=1)]
+    # rank k holds, in row order, the k-th catastrophe of each row that has one
+    rank, row = ranked.T.nonzero()
+    counts = prior + per_row
+    terminal, sup, jumps = _land_ranked(row, rank, births.T[ranked.T], per_row, counts, rng, _drop_by)
+    nc, _, _, born = gaps[-1]
+    events = partial(_sparse_events, rng.bit_generator, rng.bit_generator.state, counts, gaps, jumps)
+    return _Block(counts, terminal, sup, jumps, events, partial(weight, born.sum(axis=1), nc))
+
+
+def _sparse_events(bit_generator, state, counts, gaps, jumps) -> tuple[np.ndarray, np.ndarray]:
+    """The merged times and kinds of a sparse block, drawn from ``bit_generator`` set back to ``state``.
+
+    Each gap's births are uniform on the gap, drawn row by row and each row
+    in time order; one sort of each row's births and catastrophes orders the
+    births within their gaps, so catastrophe k of a row with b births before
+    it lands in column b + k, where the catastrophe loop put its jump.
+    """
+    bits = copy.deepcopy(bit_generator)
+    bits.state = state
+    born = np.concatenate([gap_births for *_, gap_births in gaps], axis=1)
+    starts = np.concatenate([edges[:, :-1] for _, _, edges, _ in gaps], axis=1).ravel()
+    lengths = np.concatenate([np.diff(edges, axis=1) for _, _, edges, _ in gaps], axis=1).ravel()
+    per_gap = born.ravel()
+    births = _padded_times(
+        np.random.Generator(bits), born.sum(axis=1), np.repeat(starts, per_gap), np.repeat(lengths, per_gap)
+    )
+    times = np.concatenate((births, *[cats for _, cats, _, _ in gaps]), axis=1)
+    times.sort(axis=1)
+    times = times[:, :counts.max(initial=0)]
+    kinds = np.zeros(times.shape, dtype=np.uint8)
+    row, column, _ = jumps
+    kinds[row, column] = EventKind.CATASTROPHE
+    return times, kinds
 
 
 def simulate_subordinated(params: ModelParams, spec: SimSpec) -> PathSample:

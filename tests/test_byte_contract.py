@@ -1,9 +1,10 @@
 """The byte contract: each README-scale command writes the same ``--out`` bytes as before.
 
 Every command below runs at the default parameters (lambda = mu = alpha = 1)
-through ``cli.main`` with ``--out`` at ``--workers 1``; the table holds the
-sha256 of each output file.  Worker invariance is tested in ``test_cli.py``,
-so one worker count is enough here.
+through ``cli.main`` with ``--out``, at the default of one worker for the
+commands that take ``--workers``; the table holds the sha256 of each output
+file.  Worker invariance is tested in ``test_cli.py``, so one worker count is
+enough here.
 
 The values were recorded with numpy 2.4.6 on x86-64 Linux; another numpy
 release or platform may round differently.  A change that moves these bytes
@@ -44,13 +45,14 @@ CONTRACT = [
     ("estimate --T 160 --x 0.5 --method is --n 10000 --seed 11",
      "cedb1ea907203986383e33d849665a3bcc39a5c61859fd4de735b5735d71e6b9"),
     ("estimate --T 160 --x 2 --method is --n 10000 --seed 11",
-     "a4b088137b2c4b1a4e1d5b6c28809dbc33f0f319082e4d6d6b9aa63b3dd639a9"),
+     "2850b259c2bc2acecfc767942db068418d8305b87a9bceae9cc7380295c74c3a"),
     ("paths --T 160 --x 0.5 --n 10000 --seed 11", "6fbba812e96b9343188604ec3c7b1d5e171349535952c7bc2e0c8ce61691fc8a"),
+    ("paths --T 40 --x 2 --n 2000 --seed 7", "3a777ddbe713ae042983fa4014673dad3d30d45ede3a4b6f864584fa51826183"),
 ]
 
 
 @pytest.mark.parametrize("command, sha256", CONTRACT, ids=[command for command, _ in CONTRACT])
 def test_out_bytes_match_the_recorded_sha256(tmp_path, command, sha256):
     out = tmp_path / "out"
-    assert main([*shlex.split(command), "--workers", "1", "--out", str(out)]) == 0
+    assert main([*shlex.split(command), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -135,12 +135,14 @@ def test_estimate_zero_level_is_certain(tmp_path):
 
 
 def test_byte_determinism_and_worker_invariance(tmp_path):
-    argv = ["estimate", "--T", "4", "--x", "0.5", "--n", "3000", "--method", "is", "--seed", "9"]
-    _, first = _run(tmp_path, *argv)
-    _, second = _run(tmp_path, *argv)
-    assert first == second
-    _, third = _run(tmp_path, *argv, "--workers", "3")
-    assert first == third
+    # x = 0.5 runs merged two-stream blocks, x = 2 sparse ones
+    for x in ("0.5", "2"):
+        argv = ["estimate", "--T", "4", "--x", x, "--n", "3000", "--method", "is", "--seed", "9"]
+        _, first = _run(tmp_path, *argv)
+        _, second = _run(tmp_path, *argv)
+        assert first == second
+        _, third = _run(tmp_path, *argv, "--workers", "3")
+        assert first == third
 
 
 def test_simulate_byte_determinism(tmp_path):
@@ -498,8 +500,7 @@ def test_config_is_keyed_by_option_names(tmp_path, capsys, command):
             assert json.loads(capsys.readouterr().err)["key"] == key
 
 
-# workers stays shared: test_byte_contract.py runs every command at --workers 1
-_SHARED = {"lambda", "mu", "alpha", "workers", "out", "format"}
+_SHARED = {"lambda", "mu", "alpha", "out", "format"}
 _TILT_KEYS = {"tilt-s", "tilt-theta1", "tilt-theta2"}
 
 
@@ -509,16 +510,16 @@ _TILT_KEYS = {"tilt-s", "tilt-theta1", "tilt-theta2"}
         ("simulate", {"T", "method", "grid", "seed"}),
         ("exact", {"T", "M", "K", "x"}),
         ("rate", {"x", "grid"}),
-        ("estimate", {"T", "x", "n", "method", *_TILT_KEYS, "seed"}),
-        ("lln", {"T-list", "eps", "n", "seed"}),
-        ("sweep", {"T-list", "x", "n", "method", "seed"}),
-        ("paths", {"T", "x", "n", "grid", *_TILT_KEYS, "seed"}),
+        ("estimate", {"T", "x", "n", "method", *_TILT_KEYS, "seed", "workers"}),
+        ("lln", {"T-list", "eps", "n", "seed", "workers"}),
+        ("sweep", {"T-list", "x", "n", "method", "seed", "workers"}),
+        ("paths", {"T", "x", "n", "grid", *_TILT_KEYS, "seed", "workers"}),
     ],
 )
 def test_each_command_takes_exactly_the_options_it_reads(command, keys):
-    # a command that draws nothing at random takes no seed
+    # a command that draws nothing at random takes no seed, and one that runs no replica blocks no workers
     assert {opt.key for opt in cli._COMMON + cli._COMMANDS[command]["opts"]} == _SHARED | keys
-    assert "seed" not in {opt.key for opt in cli._COMMON}
+    assert not {"seed", "workers"} & {opt.key for opt in cli._COMMON}
 
 
 @pytest.mark.parametrize(
@@ -536,8 +537,11 @@ def test_each_command_takes_exactly_the_options_it_reads(command, keys):
         (["estimate", "--T", "4", "--x", "inf", "--n", "10"], "x"),
         (["sweep", "--T-list", "4", "--x", "nan", "--n", "10"], "x"),
         (["exact", "--T", "4", "--x", "inf"], "x"),
-        (["exact", "--T", "4", "--workers", "3", "--seed", "9"], "seed"),
+        (["exact", "--T", "4", "--seed", "9"], "seed"),
         (["rate", "--grid", "2", "--seed", "5"], "seed"),
+        (["exact", "--T", "4", "--workers", "3"], "workers"),
+        (["simulate", "--T", "4", "--workers", "1"], "workers"),
+        (["rate", "--grid", "2", "--workers", "5"], "workers"),
     ],
 )
 def test_horizon_seed_level_and_ignored_flags_are_keyed(tmp_path, capsys, argv, key):

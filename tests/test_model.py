@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catpop import model
 from catpop.exact import chain_matrix, exact_state_distribution, total_variation
 from catpop.model import (
     BLOCK_EVENT_BUDGET,
+    SPARSE_CATASTROPHES_PER_BIRTH,
     EventKind,
     ModelParams,
     OptimalPath,
@@ -21,6 +23,7 @@ from catpop.model import (
     _check_mean,
     _decomposed_block,
     _drop_by,
+    _gap_counts,
     _grid_states,
     _land_at,
     _merge_keys,
@@ -29,10 +32,11 @@ from catpop.model import (
     _stream_keys,
     _subordinated_block,
 )
-from catpop.montecarlo import default_tilt
+from catpop.montecarlo import default_tilt, likelihood_ratio
 from catpop.streams import BLOCK, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
+P20_1 = ModelParams(20.0, 1.0, 1.0)  # one catastrophe per 20 births: the sparse path
 
 
 def _empty_path():
@@ -198,13 +202,22 @@ def test_tilt_states_its_window_once(monkeypatch, s, T):
     tilt = TiltConfig(s, 2.0, None).at_horizon(P111, T)
     drawn = []
 
-    def spy(rng, counts, start, span, kind):
-        drawn.append((start, span))
+    def keys_spy(rng, counts, start, span, kind):
+        drawn.append((kind, start, span))
         return _stream_keys(rng, counts, start, span, kind)
 
-    monkeypatch.setattr("catpop.model._stream_keys", spy)
+    def gaps_spy(rng, rows, begin, span, rb, rc):
+        # the sparse path draws a segment's births and catastrophes in one call
+        drawn.extend([(EventKind.BIRTH, begin, span), (EventKind.CATASTROPHE, begin, span)])
+        return _gap_counts(rng, rows, begin, span, rb, rc)
+
+    monkeypatch.setattr("catpop.model._stream_keys", keys_spy)
+    monkeypatch.setattr("catpop.model._gap_counts", gaps_spy)
     _decomposed_block(P111, T, replica_rng(5, 0), 4, tilt)
-    assert drawn[-2:] == [(s * T, length)] * 2  # the tilted births and catastrophes
+    # the tilted births and catastrophes
+    assert drawn[-2:] == [(EventKind.BIRTH, s * T, length), (EventKind.CATASTROPHE, s * T, length)]
+    # a plain early segment expects a catastrophe per birth, so only the whole-horizon tilt is sparse
+    assert len(drawn) == (2 if s == 0.0 else 4)
     assert tilt.theta2 == 1.0 / (1.0 + P111.catastrophe_rate * length)
     compensator = (tilt.theta1 - 1.0) * P111.birth_rate * length + (tilt.theta2 - 1.0) * P111.catastrophe_rate * length
     assert tilt.weight(0, 0, P111, T) == np.exp(compensator)
@@ -218,19 +231,117 @@ def test_block_event_budget_scales_with_the_rows():
     assert BLOCK * 2e4 > BLOCK_EVENT_BUDGET >= 2e4
 
 
+class _NoDraws:
+    """Stands in for a generator that must not be drawn from."""
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            raise AssertionError(f"drew {name} before the budget check")
+
+        return draw
+
+
 @pytest.mark.parametrize("tilt, cause", [
     (TiltConfig(0.0, 1.0, 1.0), "horizon T"),
     (TiltConfig(0.5, 1e3, 1.0), "tilt multiplier theta1"),
     (TiltConfig(0.5, 1.0, 1e3), "tilt multiplier theta2"),
+    (TiltConfig(0.0, 1.0, 0.1), "horizon T"),  # sparse: 0.1 catastrophes per birth
+    (TiltConfig(0.0, 1e3, 1e-3), "tilt multiplier theta1"),  # sparse: 1e-6 per birth
 ])
 def test_kernels_refuse_a_block_beyond_the_budget(tilt, cause):
     # checked before anything is drawn or allocated
     T = 2e4 if cause == "horizon T" else 160.0
     with pytest.raises(ValueError, match=cause):
-        _decomposed_block(P111, T, replica_rng(5, 0), BLOCK, tilt)
+        _decomposed_block(P111, T, _NoDraws(), BLOCK, tilt)
     if cause == "horizon T":
         with pytest.raises(ValueError, match=cause):
-            _subordinated_block(P111, T, replica_rng(5, 0), BLOCK)
+            _subordinated_block(P111, T, _NoDraws(), BLOCK)
+
+
+def _path_taken(monkeypatch, params, T, tilt):
+    # the counting path a block of these inputs takes: "_sparse_block" or "_merged_block"
+    taken = []
+
+    def spy(name):
+        real = getattr(model, name)
+
+        def run(*args):
+            taken.append(name)
+            return real(*args)
+
+        return run
+
+    for name in ("_sparse_block", "_merged_block"):
+        monkeypatch.setattr(f"catpop.model.{name}", spy(name))
+    _decomposed_block(params, T, replica_rng(3, 0), 4, tilt.at_horizon(params, T))
+    monkeypatch.undo()
+    (name,) = taken
+    return name
+
+
+_KAPPA = SPARSE_CATASTROPHES_PER_BIRTH
+# P20_1 with a plain early segment (0.05 catastrophes per birth) and a tilted late one (0.5/(2*20) per birth)
+_TWO_SPARSE_SEGMENTS = TiltConfig(0.5, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("params, tilt, T, path", [
+    (P111, TiltConfig(), 160.0, "_merged_block"),  # one catastrophe per birth
+    (P20_1, TiltConfig(), 40.0, "_sparse_block"),  # 0.05 per birth
+    (P111, default_tilt(2.0, P111), 160.0, "_sparse_block"),  # 1/(4*81)
+    (P111, default_tilt(2.0, P111), 4.0, "_sparse_block"),  # 1/(4*3)
+    (P111, default_tilt(0.5, P111), 160.0, "_merged_block"),  # the plain early segment
+    (P111, TiltConfig(0.0, 1.0, _KAPPA), 4.0, "_sparse_block"),  # exactly kappa
+    (P111, TiltConfig(0.0, 1.0, math.nextafter(_KAPPA, 1.0)), 4.0, "_merged_block"),
+    (P20_1, _TWO_SPARSE_SEGMENTS, 40.0, "_sparse_block"),
+    (P20_1, TiltConfig(0.5, 1.0, 5.0), 40.0, "_merged_block"),  # the tilted segment expects 0.25 per birth
+    (P111, TiltConfig(0.0, 1.0, 0.1), 4.0, "_sparse_block"),
+    (P111, TiltConfig(0.0, 1e3, 1e-3), 4.0, "_sparse_block"),
+])
+def test_a_block_is_sparse_when_every_segment_expects_few_catastrophes_per_birth(monkeypatch, params, tilt, T, path):
+    assert _path_taken(monkeypatch, params, T, tilt) == path
+
+
+@pytest.mark.parametrize("params, tilt, T", [
+    (P111, default_tilt(2.0, P111), 40.0),
+    (P20_1, TiltConfig(), 40.0),
+    (P20_1, _TWO_SPARSE_SEGMENTS, 40.0),
+], ids=["default-x2", "plain-mu-small", "two-segments"])
+def test_sparse_rows_are_paths_weighed_by_their_own_events(monkeypatch, params, tilt, T):
+    # each row built on read obeys the event rules; its last and largest states are the
+    # block's terminal and sup, and likelihood_ratio of its events is the block's weight
+    assert _path_taken(monkeypatch, params, T, tilt) == "_sparse_block"
+    tilt = tilt.at_horizon(params, T)
+    block = _decomposed_block(params, T, replica_rng(53, 0), BLOCK, tilt)
+    for r in range(BLOCK):
+        path = block.path(r)
+        _assert_path_invariants(path, T)
+        assert block.terminal[r] == (path.post_states[-1] if path.n_events else 0)
+        assert block.sup[r] == path.post_states.max(initial=0)
+        assert np.float64(likelihood_ratio(path, tilt, params, T)).tobytes() == block.weights[r].tobytes()
+    assert np.any(block.sup > block.terminal)
+
+
+def test_sparse_events_depend_on_the_block_alone():
+    # the events of a sparse block come from its generator as it stood after the
+    # block's own draws: reading them twice, reading a few rows first, or drawing
+    # from the generator before the first read gives the same bytes
+    T, tilt = 40.0, default_tilt(2.0, P111).at_horizon(P111, 40.0)
+    whole = _decomposed_block(P111, T, replica_rng(61, 0), BLOCK, tilt)
+    first, second = whole.events(), whole.events()
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+    rng = replica_rng(61, 0)
+    part = _decomposed_block(P111, T, rng, BLOCK, tilt)
+    rng.random(1000)
+    rows = np.array([900, 3, 41])
+    some = [part.path(r) for r in rows]
+    assert part.times.tobytes() == first[0].tobytes() == whole.times.tobytes()
+    assert part.kinds.tobytes() == first[1].tobytes() == whole.kinds.tobytes()
+    assert part.post_states(np.arange(BLOCK)).tobytes() == whole.post_states(np.arange(BLOCK)).tobytes()
+    for r, path in zip(rows, some):
+        assert path.times.tobytes() == whole.path(r).times.tobytes()
+        assert path.post_states.tobytes() == whole.path(r).post_states.tobytes()
+
 
 def _argsort_merge(times, first_catastrophe_column):
     # reference: the stable argsort merge that the packed-key sort replaced;
@@ -402,15 +513,28 @@ def _assert_kernel_matches_column_loop(times, kinds, counts, land):
 def _kernel_inputs(monkeypatch, make_block):
     seen = []
 
-    def spy(times, kinds, counts, rng, land, weights=None):
+    def spy(times, kinds, counts, rng, land, weigh=None):
         seen.append((times, kinds, counts, land))
-        return _run_events(times, kinds, counts, rng, land, weights)
+        return _run_events(times, kinds, counts, rng, land, weigh)
 
     monkeypatch.setattr("catpop.model._run_events", spy)
     make_block()
     monkeypatch.undo()
     (inputs,) = seen
     return inputs
+
+
+class _HalfwayLandings:
+    """A generator whose landing draws are :class:`_HalfwayRng`'s and every other draw ``rng``'s."""
+
+    def __init__(self, rng):
+        self.rng, self.halfway = rng, _HalfwayRng()
+
+    def integers(self, low, high):
+        return self.halfway.integers(low, high)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 @pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
@@ -423,7 +547,20 @@ def test_catastrophe_loop_matches_the_column_loop_on_blocks(monkeypatch, T, kern
     args = (P111, T, replica_rng(11, 0), BLOCK)
     if x is not None:
         args += (default_tilt(x, P111).at_horizon(P111, T),)
-    times, kinds, counts, land = _kernel_inputs(monkeypatch, lambda: kernel(*args))
+    if x == 2.0:
+        # a sparse block counts its births by gaps and builds its events on read: the
+        # column loop runs on those events, and the block's own loop, landing as the
+        # reference does, gives the column loop's states
+        rng = _HalfwayLandings(args[2])
+        sparse = kernel(*args[:2], rng, *args[3:])
+        times, kinds, counts, land = sparse.times, sparse.kinds, sparse.counts, _drop_by
+        terminal, sup, post = _column_loop(times, kinds, counts, _HalfwayRng(), land)
+        assert np.array_equal(sparse.terminal, terminal)
+        assert np.array_equal(sparse.sup, sup)
+        assert np.array_equal(sparse.post_states(np.arange(counts.size)), post)
+        assert rng.halfway.calls == np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max(initial=0)
+    else:
+        times, kinds, counts, land = _kernel_inputs(monkeypatch, lambda: kernel(*args))
     block = _assert_kernel_matches_column_loop(times, kinds, counts, land)
     assert block.times.shape[1] > np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max()
 

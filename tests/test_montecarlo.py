@@ -583,6 +583,34 @@ def test_sample_terminal_states_matches_oracle_quickly():
         assert total_variation(emp, pmf.masses) < 0.02
 
 
+@pytest.mark.parametrize("T", [4.0, 40.0])
+def test_sparse_blocks_match_the_oracle_and_the_jump_chain(monkeypatch, T):
+    # at mu/lambda = 0.05 every plain two-stream block counts its births by gaps
+    params, n, M = ModelParams(20.0, 1.0, 1.0), 200_000, 120
+
+    def merged(*args):
+        raise AssertionError("a plain block at mu/lambda = 0.05 took the merge path")
+
+    monkeypatch.setattr("catpop.model._merged_block", merged)
+    pmf = exact_state_distribution(params, T, M, M)
+    dec = np.bincount(sample_terminal_states(params, T, n, 59, "decomposed"), minlength=M + 1) / n
+    sub = np.bincount(sample_terminal_states(params, T, n, 61, "subordinated"), minlength=M + 1) / n
+    assert total_variation(dec, pmf.masses) < 0.02
+    assert total_variation(sub, pmf.masses) < 0.02
+    assert total_variation(dec, sub) < 0.02
+
+
+def test_sparse_estimates_cover_the_oracle_as_often_as_merged_ones():
+    # at T = 40 the default tilt at x = 2 takes the sparse path, at x = 0.5 the merge path
+    T, covered = 40.0, {}
+    for x in (2.0, 0.5):
+        exact, _ = exact_tail_probability(P111, T, x, 400, 400)
+        tilt = default_tilt(x, P111)
+        results = [estimate_tail_is(P111, T, x, tilt, 10_000, derive_seed(83, k)) for k in range(20)]
+        covered[x] = sum(r.ci95[0] <= exact <= r.ci95[1] for r in results)
+    assert covered[2.0] >= covered[0.5] >= 19
+
+
 def test_sup_fraction_basics():
     result = sup_exceedance_fraction(P111, 4.0, eps=1000.0, n=2_000, seed=41)
     assert result.p_hat == 0.0
