@@ -25,24 +25,24 @@ adds the births since the row's previous one, and draws the landings in
 last and largest states come out of that loop; the state after every event
 is one cumulative sum per row, built only for the rows a caller asks for.
 
-The loop needs each catastrophe's births before it.  The jump chain sorts
-each row's clock times in place and reads them off a catastrophe's column
-less its rank.  The two-stream kernel counts them one of two ways, chosen
+The loop takes each catastrophe's column among its row's sorted events.
+The jump chain sorts each row's clock times in place and reads the columns
+off its kinds.  The two-stream kernel finds them one of two ways, chosen
 per block from the expected counts.  On the merge path each stream's times
 become packed ``(time, kind)`` uint64 keys while they are still the vector
 of draws; the keys land in one matrix padded with the ``+inf`` birth key,
 and one in-place sort of each row orders them by value alone, a birth
-before a catastrophe at the same time.  When every segment of the window
-expects at most kappa = ``SPARSE_CATASTROPHES_PER_BIRTH`` = 0.2
-catastrophes per birth, the block takes the sparse path instead: it draws
-each row's catastrophe times, sorts those few, and draws the births in each
-gap between them as one Poisson count, so no birth time is drawn.  At
-T = 160 with 320 births per row, a block of 1024 rows takes about 0.7 ms
-that way against 5-8 ms merged, and the two paths break even near 0.2-0.25
-catastrophes per birth.  A sparse block draws its event times only when
-something reads them (``_Block.times``, ``kinds``, :meth:`_Block.path`):
-uniform within their gaps, from the block's generator as it stood after the
-block's own draws, so they depend on the seed and the block alone.
+before a catastrophe at the same time.  A one-segment window (plain, or
+tilted from time 0) that expects at most kappa =
+``SPARSE_CATASTROPHES_PER_BIRTH`` = 0.2 catastrophes per birth takes the
+sparse path instead: it draws each row's catastrophe times, sorts those
+few, and draws the births in each gap between them as one Poisson count,
+so no birth time is drawn.  At T = 160 with 320 births per row, a block of
+1024 rows takes about 0.7 ms that way against 5-8 ms merged, and the two
+paths break even near 0.2-0.25 catastrophes per birth.  A sparse block
+draws its event times only when something reads them: uniform within their
+gaps, from the block's generator as it stood after the block's own draws,
+so they depend on the seed and the block alone.
 
 :class:`TiltConfig` is the two-stream kernel's sampling measure and
 ``TiltConfig()`` the plain one; the kernel counts each row's births and
@@ -91,6 +91,11 @@ class ModelParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
+        # lam + mu or alpha*lam may overflow, and a stream rate may underflow to 0
+        for name, v in (("lam + mu", self.lam + self.mu), ("birth_rate", self.birth_rate),
+                        ("catastrophe_rate", self.catastrophe_rate)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v} from {self}")
 
     @property
     def birth_prob(self) -> float:
@@ -226,31 +231,28 @@ class _Block:
     each row's last and largest states.  ``jumps`` holds the row, the column
     among the row's sorted events and the state change of every catastrophe,
     from which :meth:`post_states` builds the states of the rows a caller
-    asks for.  ``times`` holds each row's sorted event times, padded with
-    ``+inf`` past its ``counts`` events, and ``kinds`` is 0 on the padding;
-    both come from ``events`` on first read, so a block that nothing reads
-    them from never builds them.  ``weights`` holds each row's likelihood
-    ratio, from ``weigh`` on first read; the never-tilted jump chain has none.
+    asks for and ``kinds`` is built, 0 on the padding.  ``times`` (each
+    row's sorted event times, ``+inf`` past its ``counts`` events, from
+    ``events``), ``kinds`` and ``weights`` (each row's likelihood ratio, from
+    ``weigh``; the never-tilted jump chain has none) are built on first read.
     """
 
     counts: np.ndarray
     terminal: np.ndarray
     sup: np.ndarray
     jumps: tuple[np.ndarray, np.ndarray, np.ndarray]
-    events: Callable[[], tuple[np.ndarray, np.ndarray]]
+    events: Callable[[], np.ndarray]
     weigh: Callable[[], np.ndarray] | None = None
 
     @cached_property
-    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+    def times(self) -> np.ndarray:
         return self.events()
 
-    @property
-    def times(self) -> np.ndarray:
-        return self._merged[0]
-
-    @property
+    @cached_property
     def kinds(self) -> np.ndarray:
-        return self._merged[1]
+        kinds = np.zeros(self.times.shape, dtype=np.uint8)
+        kinds[self.jumps[:2]] = EventKind.CATASTROPHE  # at each catastrophe's row and column
+        return kinds
 
     @cached_property
     def weights(self) -> np.ndarray | None:
@@ -376,22 +378,28 @@ def _merge_keys(streams: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return keys.view(np.float64), kinds, counts
 
 
-def _land_ranked(row, rank, births, per_row, counts, rng, land):
-    """The catastrophe loop of both kernels: each row's last and largest states, and the jumps of its catastrophes.
+def _land_ranked(column, per_row, counts, rng, land):
+    """The catastrophe loop of every kernel: each row's last and largest states, and the jumps of its catastrophes.
 
-    ``rank`` and ``row`` list every catastrophe in (rank, row) order, rank k
-    holding the k-th catastrophe of each row that has one, ``births`` the
-    births of its row before it, ``per_row`` each row's catastrophes and
+    ``column`` lists every catastrophe's column among its row's sorted
+    events, row by row and each row in time order: read off the sorted kinds
+    (:func:`_run_events`), or a sparse row's births before it plus its rank
+    (:func:`_sparse_block`).  ``per_row`` holds each row's catastrophes and
     ``counts`` its events.  A birth, or any event of the empty population,
     adds one; a catastrophe at level m draws u uniform on {0, ..., m-1}
     (``Generator.integers`` with an array bound, unbiased per element) and
     moves to ``land(m, u)``.  Births only add one, so the loop visits rank
-    k = 0, 1, ... and adds the births since each row's previous catastrophe:
-    the landing draws are taken in (rank, row) order, which for a one-row
-    block is time order.  A catastrophe's column among its row's events is
-    its births before plus its rank.
+    k = 0, 1, ... and adds the births since each row's previous catastrophe,
+    its column less its rank: the landing draws are taken in (rank, row)
+    order, which for a one-row block is time order.
     """
-    ranks = int(rank[-1]) + 1 if rank.size else 0
+    ranks = int(per_row.max(initial=0))
+    # rank k holds, in row order, the k-th catastrophe of each row that has one
+    row = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
+    rank = row // counts.size
+    row -= rank * counts.size
+    column = column[(per_row.cumsum() - per_row)[row] + rank]
+    births = column - rank
     bounds = rank.searchsorted(np.arange(ranks + 1)).tolist()
     # a row's state after its latest catastrophe, less the births before that catastrophe
     offset = np.zeros(counts.size, dtype=np.int64)
@@ -414,7 +422,7 @@ def _land_ranked(row, rank, births, per_row, counts, rng, land):
     # a row's largest state is its last or one just before a catastrophe
     sup = terminal.copy()
     np.maximum.at(sup, row, before)
-    return terminal, sup, (row, births + rank, after - before)
+    return terminal, sup, (row, column, after - before)
 
 
 def _run_events(times, kinds, counts, rng, land, weigh=None) -> _Block:
@@ -422,22 +430,14 @@ def _run_events(times, kinds, counts, rng, land, weigh=None) -> _Block:
 
     Rows come sorted from one in-place sort (:func:`_merge_keys` for the
     two streams, births first on ties), with ``kinds`` 0 on the padding.
-    Each catastrophe's births before it are its column less its rank.  The
-    state after every event is left to :meth:`_Block.post_states`.
+    The block keeps the times alone; the rest it builds from its jumps.
     """
     rows, width = times.shape
     # the catastrophes' flat indices, row by row and each row in time order
     flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
-    per_row = np.bincount(flat // width, minlength=rows)
-    ranks = int(per_row.max(initial=0))
-    # rank k holds, in row order, the k-th catastrophe of each row that has one
-    row = (np.arange(ranks)[:, None] < per_row).ravel().nonzero()[0]
-    rank = row // rows
-    row -= rank * rows
-    flat = flat[(per_row.cumsum() - per_row)[row] + rank]
-    births = flat - row * width - rank  # before the catastrophe: its column less its rank
-    terminal, sup, jumps = _land_ranked(row, rank, births, per_row, counts, rng, land)
-    return _Block(counts, terminal, sup, jumps, lambda: (times, kinds), weigh)
+    row = flat // width
+    terminal, sup, jumps = _land_ranked(flat - row * width, np.bincount(row, minlength=rows), counts, rng, land)
+    return _Block(counts, terminal, sup, jumps, lambda: times, weigh)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -463,9 +463,9 @@ def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator,
 
 
 # kappa: a two-stream block counts its births by gaps (:func:`_sparse_block`)
-# when every segment of its window expects at most this many catastrophes per
-# birth, and merges its sorted streams (:func:`_merged_block`) otherwise.  On
-# one block of 1024 rows at T = 160 with 320 births per row, the sparse path
+# when its window is one segment that expects at most this many catastrophes
+# per birth, and merges its sorted streams (:func:`_merged_block`) otherwise.
+# On one block of 1024 rows at T = 160 with 320 births per row, the sparse path
 # took 0.2-0.75x the merge path's time up to 0.1 catastrophes per birth,
 # 0.84-0.99x at 0.2, 0.9-1.17x at 0.25 and 0.9-1.26x from 0.3 on.
 SPARSE_CATASTROPHES_PER_BIRTH = 0.2
@@ -479,9 +479,10 @@ def _decomposed_block(
     ``TiltConfig()`` is the plain two-stream decomposition of the process.
     The window is cut into segments of constant intensities, the plain one
     before ``s*T`` and the tilted one after it, and every mean is checked
-    against the budget before anything is drawn.  The block weighs each row
-    by :meth:`TiltConfig.weight` of its births and catastrophes on the
-    tilted window when its weights are read.
+    against the budget before anything is drawn; only a one-segment window
+    may take the sparse path.  The block weighs each row by
+    :meth:`TiltConfig.weight` of its births and catastrophes on the tilted
+    window when its weights are read.
     """
     # the clock's alpha*T bounds every untilted stream, so only the tilted window can fail below
     _check_mean(params.alpha * T, rows, "T")
@@ -493,8 +494,9 @@ def _decomposed_block(
         _check_mean(rb * span, rows, "theta1")
         _check_mean(rc * span, rows, "theta2")
     weight = partial(tilt.weight, params=params, T=T)
-    if all(rc * span <= SPARSE_CATASTROPHES_PER_BIRTH * (rb * span) for _, span, rb, rc in segments):
-        return _sparse_block(segments, rng, rows, weight)
+    _, span, rb, rc = segments[0]
+    if len(segments) == 1 and rc * span <= SPARSE_CATASTROPHES_PER_BIRTH * (rb * span):
+        return _sparse_block(segments[0], rng, rows, weight)
     return _merged_block(segments, rng, rows, weight)
 
 
@@ -511,7 +513,7 @@ def _merged_block(segments, rng: np.random.Generator, rows: int, weight) -> _Blo
 
 
 def _gap_counts(rng: np.random.Generator, rows: int, begin: float, span: float, rb: float, rc: float):
-    """One segment of a sparse block: each row's catastrophe times and its births in the gaps between them.
+    """The one segment of a sparse block: each row's catastrophe times and its births in the gaps between them.
 
     Row r draws Poisson(rc*span) catastrophe times uniform on (begin,
     begin+span], sorted and padded with ``+inf``; they cut the segment into
@@ -529,38 +531,25 @@ def _gap_counts(rng: np.random.Generator, rows: int, begin: float, span: float, 
     return nc, cats, edges, born
 
 
-def _sparse_block(segments, rng: np.random.Generator, rows: int, weight) -> _Block:
-    """Each segment's catastrophes drawn first and the births between them counted (:func:`_gap_counts`).
+def _sparse_block(segment, rng: np.random.Generator, rows: int, weight) -> _Block:
+    """A one-segment window's catastrophes drawn first and the births between them counted (:func:`_gap_counts`).
 
-    A row's birth and catastrophe counts, and so its state sequence and its
-    weight, come out of the counts alone.  The event times are built on
-    first read (:func:`_sparse_events`), from the generator as it stands
-    after the block's own draws.
+    A row's state sequence and weight come out of the counts alone: its
+    catastrophe j follows the births of gaps 0, ..., j and j catastrophes.
+    The event times are built on first read (:func:`_sparse_events`), from
+    the generator as it stands after the block's own draws.
     """
-    gaps = [_gap_counts(rng, rows, *segment) for segment in segments]
-    # births before each catastrophe of a row, its segments in time order
-    prior = np.zeros(rows, dtype=np.int64)
-    before, live = [], []
-    for nc, cats, _, born in gaps:
-        before.append(prior[:, None] + born[:, :-1].cumsum(axis=1))
-        live.append(np.arange(cats.shape[1]) < nc[:, None])
-        prior += born.sum(axis=1)
-    per_row = sum(nc for nc, *_ in gaps)
-    # a row's catastrophes of every segment, left-aligned: column k holds its k-th
-    ranked = np.arange(per_row.max(initial=0)) < per_row[:, None]
-    births = np.zeros(ranked.shape, dtype=np.int64)
-    births[ranked] = np.concatenate(before, axis=1)[np.concatenate(live, axis=1)]
-    # rank k holds, in row order, the k-th catastrophe of each row that has one
-    rank, row = ranked.T.nonzero()
-    counts = prior + per_row
-    terminal, sup, jumps = _land_ranked(row, rank, births.T[ranked.T], per_row, counts, rng, _drop_by)
-    nc, _, _, born = gaps[-1]
-    events = partial(_sparse_events, rng.bit_generator, rng.bit_generator.state, counts, gaps, jumps)
-    return _Block(counts, terminal, sup, jumps, events, partial(weight, born.sum(axis=1), nc))
+    nc, cats, edges, born = _gap_counts(rng, rows, *segment)
+    nb = born.sum(axis=1)
+    counts = nb + nc
+    column = born[:, :-1].cumsum(axis=1) + np.arange(cats.shape[1])
+    terminal, sup, jumps = _land_ranked(column[cats < np.inf], nc, counts, rng, _drop_by)
+    events = partial(_sparse_events, rng.bit_generator, rng.bit_generator.state, counts, cats, edges, born)
+    return _Block(counts, terminal, sup, jumps, events, partial(weight, nb, nc))
 
 
-def _sparse_events(bit_generator, state, counts, gaps, jumps) -> tuple[np.ndarray, np.ndarray]:
-    """The merged times and kinds of a sparse block, drawn from ``bit_generator`` set back to ``state``.
+def _sparse_events(bit_generator, state, counts, cats, edges, born) -> np.ndarray:
+    """The merged times of a sparse block, drawn from ``bit_generator`` set back to ``state``.
 
     Each gap's births are uniform on the gap, drawn row by row and each row
     in time order; one sort of each row's births and catastrophes orders the
@@ -569,20 +558,11 @@ def _sparse_events(bit_generator, state, counts, gaps, jumps) -> tuple[np.ndarra
     """
     bits = copy.deepcopy(bit_generator)
     bits.state = state
-    born = np.concatenate([gap_births for *_, gap_births in gaps], axis=1)
-    starts = np.concatenate([edges[:, :-1] for _, _, edges, _ in gaps], axis=1).ravel()
-    lengths = np.concatenate([np.diff(edges, axis=1) for _, _, edges, _ in gaps], axis=1).ravel()
     per_gap = born.ravel()
-    births = _padded_times(
-        np.random.Generator(bits), born.sum(axis=1), np.repeat(starts, per_gap), np.repeat(lengths, per_gap)
-    )
-    times = np.concatenate((births, *[cats for _, cats, _, _ in gaps]), axis=1)
+    starts, lengths = np.repeat(edges[:, :-1], per_gap), np.repeat(np.diff(edges, axis=1), per_gap)
+    times = np.concatenate((_padded_times(np.random.Generator(bits), born.sum(axis=1), starts, lengths), cats), axis=1)
     times.sort(axis=1)
-    times = times[:, :counts.max(initial=0)]
-    kinds = np.zeros(times.shape, dtype=np.uint8)
-    row, column, _ = jumps
-    kinds[row, column] = EventKind.CATASTROPHE
-    return times, kinds
+    return times[:, :counts.max(initial=0)]
 
 
 def simulate_subordinated(params: ModelParams, spec: SimSpec) -> PathSample:

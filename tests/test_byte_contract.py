@@ -48,6 +48,12 @@ CONTRACT = [
      "2850b259c2bc2acecfc767942db068418d8305b87a9bceae9cc7380295c74c3a"),
     ("paths --T 160 --x 0.5 --n 10000 --seed 11", "6fbba812e96b9343188604ec3c7b1d5e171349535952c7bc2e0c8ce61691fc8a"),
     ("paths --T 40 --x 2 --n 2000 --seed 7", "3a777ddbe713ae042983fa4014673dad3d30d45ede3a4b6f864584fa51826183"),
+    # one catastrophe per 20 births: a sparse one-segment block whose times are drawn when read
+    ("simulate --T 160 --method decomposed --lambda 20 --seed 5",
+     "b129f5ce7b324a600e1d52532b899eb929f8db6700c9ddb4424f9becc6f67a18"),
+    # a tilt with a plain early segment at one catastrophe per 20 births: a merged two-segment block
+    ("estimate --T 40 --x 0.5 --method is --lambda 20 --n 2000 --seed 7",
+     "39b88bd09f5a0d71e8dfef4fb35250a46113ba93d666d0967e030e741596f5c2"),
 ]
 
 

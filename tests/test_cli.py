@@ -777,6 +777,25 @@ def test_invalid_model_parameter_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["exact", "--T", "4", "--x", "0.5", "--lambda", "1e308", "--mu", "1e308"], "lam + mu"),
+        (["rate", "--lambda", "1e-320", "--mu", "1e10"], "birth_rate"),
+    ],
+    ids=["sum-overflows", "birth-rate-vanishes"],
+)
+def test_weights_whose_stream_rates_overflow_or_vanish_are_a_config_error(tmp_path, capsys, argv, cause):
+    rc, text = _run(tmp_path, *argv)
+    assert rc == 2
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert record["message"].startswith(f"{cause} must be finite and > 0")
+
+
+@pytest.mark.parametrize(
     "argv, flag, value",
     [
         (["estimate", "--T", "4", "--x", "0.5"], "lambda", "-1"),

@@ -37,6 +37,9 @@ from catpop.streams import BLOCK, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 P20_1 = ModelParams(20.0, 1.0, 1.0)  # one catastrophe per 20 births: the sparse path
+# P20_1 with a plain early segment (0.05 catastrophes per birth) and a tilted late one (0.5/(2*20) per birth):
+# every segment expects few catastrophes per birth, but a two-segment window takes the merge path
+_TWO_SPARSE_SEGMENTS = TiltConfig(0.5, 2.0, 0.5)
 
 
 def _empty_path():
@@ -52,6 +55,19 @@ def test_params_validation():
         ModelParams(1.0, -2.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, math.inf)
+    tiny = ModelParams(1e-300, 1e-300, 2.0)  # tiny weights with finite, positive rates pass
+    assert tiny.birth_rate == tiny.catastrophe_rate == 1.0
+
+
+@pytest.mark.parametrize("triple, cause", [
+    ((1e308, 1e308, 1.0), "lam \\+ mu must be finite and > 0, got inf"),  # lam + mu overflows
+    ((1e-320, 1e10, 1.0), "birth_rate must be finite and > 0, got 0.0"),  # lam/(lam+mu) underflows
+    ((1e10, 1e-320, 1.0), "catastrophe_rate must be finite and > 0, got 0.0"),
+    ((1e308, 1.0, 2.0), "birth_rate must be finite and > 0, got inf"),  # alpha*lam overflows
+])
+def test_params_refuse_a_triple_whose_derived_rates_overflow_or_vanish(triple, cause):
+    with pytest.raises(ValueError, match=cause):
+        ModelParams(*triple)
 
 
 def test_simspec_validation():
@@ -182,14 +198,17 @@ def test_block_rows_are_paths(kernel):
 
 
 @pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
-@pytest.mark.parametrize("tilt", [(0.0, 1.0, 1.0), (0.5, 2.0, 0.1)], ids=["identity", "tilted"])
-def test_block_reports_the_counts_it_drew_on_the_tilted_window(T, tilt):
-    tilt = TiltConfig(*tilt)
-    block = _decomposed_block(P111, T, replica_rng(37, 0), BLOCK, tilt)
+@pytest.mark.parametrize("params, tilt", [
+    (P111, TiltConfig(0.0, 1.0, 1.0)),
+    (P111, TiltConfig(0.5, 2.0, 0.1)),
+    (P20_1, _TWO_SPARSE_SEGMENTS),
+], ids=["identity", "tilted", "two-sparse-segments"])
+def test_block_reports_the_counts_it_drew_on_the_tilted_window(T, params, tilt):
+    block = _decomposed_block(params, T, replica_rng(37, 0), BLOCK, tilt)
     # reference: the weight of each row's births and catastrophes whose merged time lies after s*T
     late = (block.times > tilt.switch_time_s * T) & (block.times < np.inf)
     cats = np.count_nonzero(late & (block.kinds == EventKind.CATASTROPHE), axis=-1)
-    expected = tilt.weight(np.count_nonzero(late, axis=-1) - cats, cats, P111, T)
+    expected = tilt.weight(np.count_nonzero(late, axis=-1) - cats, cats, params, T)
     assert block.weights.tobytes() == expected.tobytes()
 
 
@@ -216,7 +235,7 @@ def test_tilt_states_its_window_once(monkeypatch, s, T):
     _decomposed_block(P111, T, replica_rng(5, 0), 4, tilt)
     # the tilted births and catastrophes
     assert drawn[-2:] == [(EventKind.BIRTH, s * T, length), (EventKind.CATASTROPHE, s * T, length)]
-    # a plain early segment expects a catastrophe per birth, so only the whole-horizon tilt is sparse
+    # a window with an early segment is merged, so only the whole-horizon tilt is sparse
     assert len(drawn) == (2 if s == 0.0 else 4)
     assert tilt.theta2 == 1.0 / (1.0 + P111.catastrophe_rate * length)
     compensator = (tilt.theta1 - 1.0) * P111.birth_rate * length + (tilt.theta2 - 1.0) * P111.catastrophe_rate * length
@@ -280,8 +299,6 @@ def _path_taken(monkeypatch, params, T, tilt):
 
 
 _KAPPA = SPARSE_CATASTROPHES_PER_BIRTH
-# P20_1 with a plain early segment (0.05 catastrophes per birth) and a tilted late one (0.5/(2*20) per birth)
-_TWO_SPARSE_SEGMENTS = TiltConfig(0.5, 2.0, 0.5)
 
 
 @pytest.mark.parametrize("params, tilt, T, path", [
@@ -292,20 +309,19 @@ _TWO_SPARSE_SEGMENTS = TiltConfig(0.5, 2.0, 0.5)
     (P111, default_tilt(0.5, P111), 160.0, "_merged_block"),  # the plain early segment
     (P111, TiltConfig(0.0, 1.0, _KAPPA), 4.0, "_sparse_block"),  # exactly kappa
     (P111, TiltConfig(0.0, 1.0, math.nextafter(_KAPPA, 1.0)), 4.0, "_merged_block"),
-    (P20_1, _TWO_SPARSE_SEGMENTS, 40.0, "_sparse_block"),
+    (P20_1, _TWO_SPARSE_SEGMENTS, 40.0, "_merged_block"),  # two segments
     (P20_1, TiltConfig(0.5, 1.0, 5.0), 40.0, "_merged_block"),  # the tilted segment expects 0.25 per birth
     (P111, TiltConfig(0.0, 1.0, 0.1), 4.0, "_sparse_block"),
     (P111, TiltConfig(0.0, 1e3, 1e-3), 4.0, "_sparse_block"),
 ])
-def test_a_block_is_sparse_when_every_segment_expects_few_catastrophes_per_birth(monkeypatch, params, tilt, T, path):
+def test_a_block_is_sparse_when_its_one_segment_expects_few_catastrophes_per_birth(monkeypatch, params, tilt, T, path):
     assert _path_taken(monkeypatch, params, T, tilt) == path
 
 
 @pytest.mark.parametrize("params, tilt, T", [
     (P111, default_tilt(2.0, P111), 40.0),
     (P20_1, TiltConfig(), 40.0),
-    (P20_1, _TWO_SPARSE_SEGMENTS, 40.0),
-], ids=["default-x2", "plain-mu-small", "two-segments"])
+], ids=["default-x2", "plain-mu-small"])
 def test_sparse_rows_are_paths_weighed_by_their_own_events(monkeypatch, params, tilt, T):
     # each row built on read obeys the event rules; its last and largest states are the
     # block's terminal and sup, and likelihood_ratio of its events is the block's weight
@@ -327,16 +343,15 @@ def test_sparse_events_depend_on_the_block_alone():
     # from the generator before the first read gives the same bytes
     T, tilt = 40.0, default_tilt(2.0, P111).at_horizon(P111, 40.0)
     whole = _decomposed_block(P111, T, replica_rng(61, 0), BLOCK, tilt)
-    first, second = whole.events(), whole.events()
-    for a, b in zip(first, second):
-        assert a.tobytes() == b.tobytes()
+    first = whole.events()
+    assert first.tobytes() == whole.events().tobytes()
     rng = replica_rng(61, 0)
     part = _decomposed_block(P111, T, rng, BLOCK, tilt)
     rng.random(1000)
     rows = np.array([900, 3, 41])
     some = [part.path(r) for r in rows]
-    assert part.times.tobytes() == first[0].tobytes() == whole.times.tobytes()
-    assert part.kinds.tobytes() == first[1].tobytes() == whole.kinds.tobytes()
+    assert part.times.tobytes() == first.tobytes() == whole.times.tobytes()
+    assert part.kinds.tobytes() == whole.kinds.tobytes()
     assert part.post_states(np.arange(BLOCK)).tobytes() == whole.post_states(np.arange(BLOCK)).tobytes()
     for r, path in zip(rows, some):
         assert path.times.tobytes() == whole.path(r).times.tobytes()
@@ -522,6 +537,22 @@ def _kernel_inputs(monkeypatch, make_block):
     monkeypatch.undo()
     (inputs,) = seen
     return inputs
+
+
+@pytest.mark.parametrize("T", [4.0, 160.0])
+@pytest.mark.parametrize(
+    "kernel, tilt",
+    [(_subordinated_block, None), (_decomposed_block, TiltConfig()), (_decomposed_block, default_tilt(0.5, P111))],
+    ids=["subordinated", "plain-merged", "tilted-merged"],
+)
+def test_block_kinds_from_its_jumps_are_the_kinds_the_kernel_sorted(monkeypatch, T, kernel, tilt):
+    args = (P111, T, replica_rng(7, 0), BLOCK) + (() if tilt is None else (tilt.at_horizon(P111, T),))
+    blocks = []
+    _, kinds, _, _ = _kernel_inputs(monkeypatch, lambda: blocks.append(kernel(*args)))
+    (block,) = blocks
+    assert block.kinds.dtype == kinds.dtype and block.kinds.shape == kinds.shape
+    assert block.kinds.tobytes() == kinds.tobytes()
+    assert np.any(kinds == EventKind.CATASTROPHE)
 
 
 class _HalfwayLandings:

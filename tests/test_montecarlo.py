@@ -362,11 +362,18 @@ def test_weights_positive_and_finite():
         assert np.all(np.isfinite(weights))
 
 
-def test_reproducibility_and_worker_invariance():
-    a = estimate_tail_is(P111, 8.0, 0.5, default_tilt(0.5, P111), 6_000, 31, workers=1)
-    b = estimate_tail_is(P111, 8.0, 0.5, default_tilt(0.5, P111), 6_000, 31, workers=2)
-    c = estimate_tail_is(P111, 8.0, 0.5, default_tilt(0.5, P111), 6_000, 31, workers=1)
+@pytest.mark.parametrize("x", [0.5, 2.0], ids=["merged", "sparse"])
+def test_reproducibility_and_worker_invariance(x):
+    # x = 0.5 runs merged two-segment blocks, x = 2 sparse ones whose paths draw their times in the worker
+    tilt = default_tilt(x, P111)
+    a = estimate_tail_is(P111, 8.0, x, tilt, 6_000, 31, workers=1)
+    b = estimate_tail_is(P111, 8.0, x, tilt, 6_000, 31, workers=2)
+    c = estimate_tail_is(P111, 8.0, x, tilt, 6_000, 31, workers=1)
     assert a == b == c
+    one = collect_weighted_paths(P111, 8.0, x, tilt, 6_000, 31, grid_size=20, workers=1)
+    two = collect_weighted_paths(P111, 8.0, x, tilt, 6_000, 31, grid_size=20, workers=2)
+    assert one.row_sum.tobytes() == two.row_sum.tobytes() and one.total_weight == two.total_weight
+    assert one.total_weight > 0
 
 
 @pytest.mark.parametrize("workers", [0, -3])
