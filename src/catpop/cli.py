@@ -285,6 +285,9 @@ def _log_rate_values(result, T: float) -> tuple:
 
 
 def _cmd_sweep(cfg: dict, params: ModelParams):
+    if cfg["method"] == "is" and not cfg["x"] > 0:
+        # the tilt follows the optimal path to x, which needs a positive level
+        raise ConfigError(f"deviation level x must be finite and > 0 for method 'is', got {cfg['x']}", key="x")
     points = rate_curve_sweep(
         params, cfg["x"], cfg["T-list"], cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
     )
@@ -456,7 +459,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}", key="config")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
     return entries

@@ -91,7 +91,7 @@ class ModelParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        # lam + mu or alpha*lam may overflow, and a stream rate may underflow to 0
+        # lam + mu may overflow, and a stream rate may underflow to 0
         for name, v in (("lam + mu", self.lam + self.mu), ("birth_rate", self.birth_rate),
                         ("catastrophe_rate", self.catastrophe_rate)):
             if not (math.isfinite(v) and v > 0):
@@ -104,13 +104,13 @@ class ModelParams:
 
     @property
     def birth_rate(self) -> float:
-        """Birth stream intensity alpha*lambda/(lambda+mu)."""
-        return self.alpha * self.lam / (self.lam + self.mu)
+        """Birth stream intensity alpha*lambda/(lambda+mu), as alpha times the birth probability."""
+        return self.alpha * self.birth_prob
 
     @property
     def catastrophe_rate(self) -> float:
-        """Catastrophe stream intensity alpha*mu/(lambda+mu)."""
-        return self.alpha * self.mu / (self.lam + self.mu)
+        """Catastrophe stream intensity alpha*mu/(lambda+mu), as alpha times the catastrophe probability."""
+        return self.alpha * (self.mu / (self.lam + self.mu))
 
 
 @dataclass(frozen=True)

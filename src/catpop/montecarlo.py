@@ -8,8 +8,12 @@ its block carries from the kernel that drew it.  Catastrophe landing draws
 are identical under both measures, so only the two stream intensities enter
 the weight.
 
+Each estimator binds its block kernel, ``kernel(rng, rows)``, to the model,
+the horizon and the measure once per run, after it has checked the horizon
+and matched the tilt's ``theta2`` to it; the run layer below
+(:func:`_run_replicas`, :func:`_run_block`) knows only that kernel.
 Replicas are simulated in blocks of ``streams.BLOCK``: block ``b`` runs
-replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through one block kernel on the
+replicas ``[b*BLOCK, min((b+1)*BLOCK, n))`` through the kernel on the
 stream ``(seed, b)``.  Whole blocks are spread over the workers, and each is
 folded in the worker that simulated it to a few sums: with h = w·1{event},
 Σh, Σh², Σw and Σw², plus Σh·row over the grid rows for conditioned paths.
@@ -39,6 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 import ctypes
 from dataclasses import dataclass
+from functools import partial
 import math
 import os
 import threading
@@ -118,13 +123,9 @@ def _fold_block(weights: np.ndarray, hits: np.ndarray, rows: np.ndarray | None =
 
 
 def _run_block(args) -> np.ndarray:
-    """Simulate replicas [start, stop) on their block's stream; return its sums, or its terminal states."""
-    params, T, tilt, construction, seed, start, stop, event, grid = args
-    rng = replica_rng(seed, start // BLOCK)
-    if construction == "subordinated":
-        block = _subordinated_block(params, T, rng, stop - start)
-    else:
-        block = _decomposed_block(params, T, rng, stop - start, tilt)
+    """Draw replicas [start, stop) with the bound kernel on their block's stream; return its sums or terminal states."""
+    kernel, seed, start, stop, event, grid = args
+    block = kernel(replica_rng(seed, start // BLOCK), stop - start)
     if event is None:
         return block.terminal
     statistic, level = event
@@ -239,24 +240,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_replicas(params, T, tilt, construction, seed, n, workers, event=None, grid=None) -> np.ndarray:
+def _run_replicas(kernel, seed, n, workers, event=None, grid=None) -> np.ndarray:
     """Run n replicas block by block, possibly across processes; merge in block order.
 
-    Each block carries its rows' likelihood ratios under ``tilt``, ``TiltConfig()`` for the plain
-    process.  With ``event`` = (``_Block`` statistic, level) a replica hits at that level and each
-    block returns its sums; without one, its terminal states.
+    ``kernel(rng, rows)`` draws a block of replicas under the model, horizon and measure bound into it.
+    With ``event`` = (``_Block`` statistic, level) a replica hits at that level and each block returns
+    its sums; without one, its terminal states.
     """
     check_seed(seed)
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and > 0, got {T}")
-    tilt = tilt.at_horizon(params, T)
     bounds = _block_bounds(n)
     workers = _worker_count(workers, len(bounds))
-    args = [(params, T, tilt, construction, seed, start, stop, event, grid) for start, stop in bounds]
-    if workers == 1:
-        blocks = [_run_block(a) for a in args]
-    else:
-        blocks = _map_blocks(args, workers)
+    args = [(kernel, seed, start, stop, event, grid) for start, stop in bounds]
+    blocks = [_run_block(a) for a in args] if workers == 1 else _map_blocks(args, workers)
     return np.concatenate(blocks) if event is None else sum(blocks)  # sum adds in block order
 
 
@@ -272,13 +267,20 @@ def _fold_estimate(sums, T, n, seed, tilt: TiltConfig | None = None) -> Estimate
     """The estimate from a run's sums Σh, Σh², Σw and Σw² (:func:`_fold_block`).
 
     ``tilt`` is the sampling tilt of a weighted run, ``None`` for plain sampling.
-    A run whose every squared weight underflows to 0 has no effective sample.
+    A run whose every squared weight underflows to 0 has no effective sample,
+    and one whose squared hit weights underflow while their sum does not has
+    no standard error.
     """
     hits, hits2, weights, weights2 = map(float, sums[:4])
     if weights2 == 0.0:
         raise NoQualifyingSamplesError(
             f"no sample with positive weight satisfies the conditioning event: the importance "
             f"weights underflow, their squares sum to 0 under {tilt}"
+        )
+    if hits > 0.0 and hits2 == 0.0:
+        raise NoQualifyingSamplesError(
+            f"the squares of the hit weights underflow to 0 while the hit weights sum to {hits!r}, "
+            f"so the standard error is lost under {tilt}"
         )
     p_hat = hits / n
     ess = weights**2 / weights2
@@ -314,7 +316,7 @@ def estimate_tail_naive(
     Counts qualifying replicas of the two-stream construction; the 95%
     interval is a Wilson score interval.
     """
-    sums = _run_replicas(params, T, TiltConfig(), "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
+    sums = _run_replicas(partial(_decomposed_block, params, T), seed, n, workers, ("terminal", tail_level(x, T)))
     return _fold_estimate(sums, T, n, seed)
 
 
@@ -334,8 +336,10 @@ def estimate_tail_is(
     The standard error uses the ESS-deflated variance, a conservative choice
     for weighted means.
     """
-    sums = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, ("terminal", tail_level(x, T)))
-    return _fold_estimate(sums, T, n, seed, tilt.at_horizon(params, T))
+    event = ("terminal", tail_level(x, T))
+    tilt = tilt.at_horizon(params, T)
+    sums = _run_replicas(partial(_decomposed_block, params, T, tilt=tilt), seed, n, workers, event)
+    return _fold_estimate(sums, T, n, seed, tilt)
 
 
 def sup_exceedance_fraction(
@@ -352,7 +356,7 @@ def sup_exceedance_fraction(
         raise ValueError(f"eps must be finite and > 0 with eps*T finite, got eps={eps}, T={T}")
     # sup/T > eps is sup/T >= the next float above eps; tail_level rejects a bad T
     level = tail_level(float(np.nextafter(eps, math.inf)), T)
-    sums = _run_replicas(params, T, TiltConfig(), "decomposed", seed, n, workers, ("sup", level))
+    sums = _run_replicas(partial(_decomposed_block, params, T), seed, n, workers, ("sup", level))
     return _fold_estimate(sums, T, n, seed)
 
 
@@ -430,7 +434,8 @@ def collect_weighted_paths(
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     event = ("terminal", tail_level(x, T))
-    sums = _run_replicas(params, T, tilt, "decomposed", seed, n, workers, event, grid * T)
+    kernel = partial(_decomposed_block, params, T, tilt=tilt.at_horizon(params, T))
+    sums = _run_replicas(kernel, seed, n, workers, event, grid * T)
     return WeightedPaths(grid, sums[4:] / T, float(sums[0]))
 
 
@@ -443,6 +448,9 @@ def sample_terminal_states(
     workers: int = 1,
 ) -> np.ndarray:
     """Terminal population levels of n independent replicas (for law checks)."""
-    if construction not in ("subordinated", "decomposed"):
+    kernels = {"subordinated": _subordinated_block, "decomposed": _decomposed_block}
+    if construction not in kernels:
         raise ValueError(f"unknown construction {construction!r}")
-    return _run_replicas(params, T, TiltConfig(), construction, seed, n, workers)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
+    return _run_replicas(partial(kernels[construction], params, T), seed, n, workers)

@@ -31,6 +31,9 @@ CONTRACT = [
     ("rate --format json", "a227e7796542a2558569ada264b7b450f82b6f63cda12fe8e225d290feed7f91"),
     ("estimate --T 4 --x 0.5 --n 2000 --seed 7 --method is",
      "03d6ef72c1b8c51817e23bc27143d348e757206d64581341e3872ebe05b02091"),
+    # the CSV row carries the ess_warning bool
+    ("estimate --T 4 --x 0.5 --n 2000 --seed 7 --method is --format csv",
+     "b9a0e04b58ae4ccd584b0443c5e38e0e3ef919ef2dbb36cb89d1168d8c46c6e5"),
     ("estimate --T 4 --x 0.5 --n 2000 --seed 7", "9cbc12b1c0688704a744d31f9a93bc4e367b2cb05c351dae3ed7e5820d79460a"),
     ("estimate --T 4 --x 0 --n 500 --method is", "02684f18e1dea16decd9cac064b048bcb80b40799f13bc6189602bd9df7131b9"),
     ("lln --T-list 4,8 --eps 0.5 --n 500 --seed 7", "5c379997450d392a1eef22db59e732d647c9a4c5e5334925067d0fc5862cbce2"),

@@ -239,6 +239,23 @@ def test_estimate_with_every_weight_underflowing_exits_statistical(tmp_path, cap
     assert "theta1=300.0" in record["message"]
 
 
+@pytest.mark.parametrize("T", ["240", "200"])
+def test_estimate_whose_squared_hit_weights_underflow_exits_statistical(tmp_path, capsys, T):
+    # at T = 240 the hit weights sum to about 2e-183 and their squares to 0, which would
+    # read as a standard error of 0; at T = 200 the squares still carry the error
+    rc, text = _run(tmp_path, "estimate", "--T", T, "--x", "2", "--method", "is", "--n", "4000", "--seed", "11")
+    if T == "240":
+        assert rc == 4
+        assert text == ""
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "statistical"
+        assert "squares of the hit weights" in record["message"]
+    else:
+        assert rc == 0
+        doc = json.loads(text)
+        assert 0 < doc["p_hat"] < doc["std_err"] < 1e-150
+
+
 @pytest.mark.parametrize("x", ["0", "-1"])
 def test_paths_rejects_nonpositive_level_before_simulating(tmp_path, capsys, monkeypatch, x):
     def no_simulation(*args, **kwargs):
@@ -272,7 +289,10 @@ def test_sweep_rejects_horizon_independent_input_before_any_horizon(capsys, monk
     assert rc == 2
     assert captured.out == ""
     assert calls == []
-    assert json.loads(captured.err)["error"] == "config"
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    if "-1" in argv:
+        assert record["key"] == {"sweep": "x", "lln": "eps"}[argv[0]]
 
 
 @pytest.mark.parametrize(
@@ -352,6 +372,33 @@ def test_config_bad_value_rejected(tmp_path, capsys):
     rc, _ = _run(tmp_path, "estimate", "--config", str(config))
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["key"] == "T"
+
+
+@pytest.mark.parametrize("case", ["unreadable", "line-without-equals"])
+def test_config_file_errors_are_keyed_config(tmp_path, capsys, case):
+    config = tmp_path / "run.cfg"  # left unwritten in the unreadable case
+    if case == "line-without-equals":
+        config.write_text("T = 2\nx 0.5\n")
+    rc, text = _run(tmp_path, "estimate", "--config", str(config))
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "config"
+    expected = {"unreadable": "cannot read config file", "line-without-equals": "run.cfg:2: expected 'key = value'"}
+    assert expected[case] in record["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--T", "4", "--x", "0.5", "--n", "2000", "--seed", "7", "--method", "is", "--format", "csv"],
+    ["exact", "--T", "4", "--x", "0.5"],
+])
+def test_stdout_carries_the_bytes_out_writes(tmp_path, capsysbinary, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 @pytest.mark.parametrize(

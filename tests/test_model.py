@@ -63,9 +63,12 @@ def test_params_validation():
     ((1e308, 1e308, 1.0), "lam \\+ mu must be finite and > 0, got inf"),  # lam + mu overflows
     ((1e-320, 1e10, 1.0), "birth_rate must be finite and > 0, got 0.0"),  # lam/(lam+mu) underflows
     ((1e10, 1e-320, 1.0), "catastrophe_rate must be finite and > 0, got 0.0"),
-    ((1e308, 1.0, 2.0), "birth_rate must be finite and > 0, got inf"),  # alpha*lam overflows
+    ((1e308, 1.0, 2.0), None),  # alpha*lam overflows, yet alpha times lam/(lam+mu) is 2: accepted
 ])
 def test_params_refuse_a_triple_whose_derived_rates_overflow_or_vanish(triple, cause):
+    if cause is None:
+        assert ModelParams(*triple).birth_rate == 2.0
+        return
     with pytest.raises(ValueError, match=cause):
         ModelParams(*triple)
 

@@ -1,6 +1,7 @@
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 import math
 import multiprocessing
 from multiprocessing.connection import wait
@@ -225,7 +226,7 @@ def test_collected_weights_are_likelihood_ratios_of_their_replicas(x, T, tilted)
     for (start, stop), block in zip(_block_bounds(n), _tilted_blocks(T, tilt, n, seed)):
         _, w, hits = _replica_weights_and_hits(block, tilt, T, x)
         assert np.array_equal(block.weights, w)
-        sums = montecarlo._run_block((P111, T, at_T, "decomposed", seed, start, stop, event, None))
+        sums = montecarlo._run_block((partial(_decomposed_block, P111, T, tilt=at_T), seed, start, stop, event, None))
         h = np.where(hits, w, 0.0)
         expected = [h.sum(), (h * h).sum(), w.sum(), (w * w).sum()]
         np.testing.assert_allclose(sums, expected, rtol=1e-12, atol=0)

@@ -1,3 +1,4 @@
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -67,9 +68,10 @@ def test_mean_path_equals_the_sequential_fold_bit_for_bit():
     tilt = default_tilt(x, P111)
     event = ("terminal", tail_level(x, T))
     grid = np.linspace(0.0, 1.0, 101) * T
+    kernel = partial(_decomposed_block, P111, T, tilt=tilt.at_horizon(P111, T))
     acc = np.zeros(grid.size + 4)
     for start, stop in _block_bounds(n):
-        acc += _run_block((P111, T, tilt.at_horizon(P111, T), "decomposed", seed, start, stop, event, grid))
+        acc += _run_block((kernel, seed, start, stop, event, grid))
     assert acc[0] > 0
     for workers in (1, 2):
         samples = collect_weighted_paths(P111, T, x, tilt, n, seed, workers=workers)
@@ -95,7 +97,7 @@ def test_hit_only_fold_equals_the_all_rows_fold(T, case):
     tilt = default_tilt(x, P111).at_horizon(P111, T)
     level = {"every-row-hits": 0, "some-rows-hit": tail_level(x, T), "no-row-hits": 10**6}[case]
     grid = np.linspace(0.0, 1.0, 101) * T
-    got = _run_block((P111, T, tilt, "decomposed", seed, 0, BLOCK, ("terminal", level), grid))
+    got = _run_block((partial(_decomposed_block, P111, T, tilt=tilt), seed, 0, BLOCK, ("terminal", level), grid))
     block = _decomposed_block(P111, T, replica_rng(seed, 0), BLOCK, tilt)
     weights = block.weights
     hits = block.terminal >= level
