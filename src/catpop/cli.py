@@ -30,10 +30,10 @@ import sys
 
 import numpy as np
 
-from .exact import TruncationBudgetExceeded, exact_state_distribution
+from .exact import TruncationBudgetExceeded, exact_state_distribution, tail_level
 from .model import (
-    BudgetError,
     EventKind,
+    InputError,
     ModelParams,
     SimSpec,
     TiltConfig,
@@ -172,26 +172,19 @@ _TILT_FIELDS = {"tilt-s": "switch_time_s", "tilt-theta1": "theta1", "tilt-theta2
 
 def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
     tilt = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig()
-    for key, field in _TILT_FIELDS.items():
-        if cfg[key] is not None:
-            # one override at a time onto a valid tilt, so a failed check is this key's
-            try:
-                tilt = replace(tilt, **{field: cfg[key]})
-            except ValueError as exc:
-                raise ConfigError(str(exc), key=key) from exc
-    return tilt.at_horizon(params, cfg["T"])
+    overrides = {field: cfg[key] for key, field in _TILT_FIELDS.items() if cfg[key] is not None}
+    return replace(tilt, **overrides).at_horizon(params, cfg["T"])
 
 
-def _budget_key(field: str, cfg: dict) -> str:
-    """The option behind an input the library refused as beyond its budget (:class:`model.BudgetError`).
+def _input_key(field: str, cfg: dict) -> str:
+    """The option behind an argument the library refused (:class:`model.InputError`).
 
-    The horizon is ``T``, both for the oracle's Poisson window and for a
-    block's events; a tilt multiplier is its flag, or ``x`` where the
-    default tilt set it from the level.
+    A tilt field is its flag, or ``x`` where the default tilt set it from
+    the level; any other field is the option of its name.
     """
-    if field == "T":
-        return "T"
-    key = next(key for key, name in _TILT_FIELDS.items() if name == field)
+    key = next((key for key, name in _TILT_FIELDS.items() if name == field), None)
+    if key is None:
+        return field
     return key if cfg.get(key) is not None else "x"
 
 
@@ -213,8 +206,8 @@ def _cmd_simulate(cfg: dict, params: ModelParams):
 
 
 def _cmd_exact(cfg: dict, params: ModelParams):
-    if cfg["x"] is not None and cfg["T"] == 0:
-        raise ConfigError("T must be > 0 with x: the tail level x*T needs a positive horizon, got T=0", key="T")
+    if cfg["x"] is not None:
+        tail_level(cfg["x"], cfg["T"])  # refuses a level the horizon cannot carry before the law is computed
     pmf = exact_state_distribution(params, cfg["T"], cfg["M"], cfg["K"])
     doc = {
         "T": cfg["T"],
@@ -285,9 +278,6 @@ def _log_rate_values(result, T: float) -> tuple:
 
 
 def _cmd_sweep(cfg: dict, params: ModelParams):
-    if cfg["method"] == "is" and not cfg["x"] > 0:
-        # the tilt follows the optimal path to x, which needs a positive level
-        raise ConfigError(f"deviation level x must be finite and > 0 for method 'is', got {cfg['x']}", key="x")
     points = rate_curve_sweep(
         params, cfg["x"], cfg["T-list"], cfg["method"], cfg["n"], cfg["seed"], cfg["workers"]
     )
@@ -452,7 +442,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}", key="config") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -503,9 +493,12 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc}", key="out") from exc
 
 
 def _error_record(category: str, exc: Exception) -> None:
@@ -523,8 +516,8 @@ def main(argv: list[str] | None = None) -> int:
         params = ModelParams(lam=cfg["lambda"], mu=cfg["mu"], alpha=cfg["alpha"])
         try:
             body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
-        except BudgetError as exc:
-            raise ConfigError(str(exc), key=_budget_key(exc.field, cfg)) from exc
+        except InputError as exc:
+            raise ConfigError(str(exc), key=_input_key(exc.field, cfg)) from exc
         if cfg["format"] == "json":
             params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
             doc = {"command": args.command, "params": params_doc, **body}

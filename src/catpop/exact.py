@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .model import BudgetError, ModelParams
+from .model import InputError, ModelParams
 
 
 MAX_POISSON_WINDOW = 2**21  # terms of one Poisson window, about 70 MB at the peak; past the CLI's K cap
@@ -38,9 +38,9 @@ def tail_level(x: float, T: float) -> int:
     bisection finds the level.
     """
     if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and > 0, got {T}")
+        raise InputError(f"horizon T must be finite and > 0, got {T}", "T")
     if not math.isfinite(x * T):
-        raise ValueError(f"deviation level x*T must be finite, got x={x}, T={T}")
+        raise InputError(f"deviation level x*T must be finite, got x={x}, T={T}", "x")
     if x <= 0:
         return 0
     lo, hi = 0, math.ceil(x * T) + 1  # lo / T < x always holds, since x > 0
@@ -122,7 +122,7 @@ def _poisson_weights(rate: float, K: int) -> tuple[np.ndarray, float]:
     reach = max(K + 1, rate) + 10.0 * math.sqrt(rate)
     if not reach <= MAX_POISSON_WINDOW:
         # the rate is the clock's alpha*T, so the horizon sets the window
-        raise BudgetError(f"Poisson window of {reach:.3g} terms for rate {rate:.3g} exceeds {MAX_POISSON_WINDOW}", "T")
+        raise InputError(f"Poisson window of {reach:.3g} terms for rate {rate:.3g} exceeds {MAX_POISSON_WINDOW}", "T")
     end = math.ceil(reach) + 10
     k = np.arange(end + 1, dtype=float)
     terms = np.exp(k * math.log(rate) - rate - np.fromiter(map(math.lgamma, k + 1.0), float, k.size))

@@ -73,6 +73,18 @@ import numpy as np
 from .streams import check_seed, replica_rng
 
 
+class InputError(ValueError):
+    """A library argument refused as input; ``field`` names it, such as ``T``, ``x`` or ``theta1``."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+    def __reduce__(self):
+        # the field survives the trip back from a pool worker
+        return type(self), (str(self), self.field)
+
+
 class EventKind(IntEnum):
     BIRTH = 0
     CATASTROPHE = 1
@@ -132,11 +144,11 @@ class TiltConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.switch_time_s < 1.0:
-            raise ValueError(f"switch_time_s must lie in [0, 1), got {self.switch_time_s}")
+            raise InputError(f"switch_time_s must lie in [0, 1), got {self.switch_time_s}", "switch_time_s")
         theta2 = 1.0 if self.theta2 is None else self.theta2  # None is filled in per horizon
         for name, theta in (("theta1", self.theta1), ("theta2", theta2)):
             if not (math.isfinite(theta) and theta > 0):
-                raise ValueError(f"tilt multiplier {name} must be finite and > 0, got {theta}")
+                raise InputError(f"tilt multiplier {name} must be finite and > 0, got {theta}", name)
 
     def window(self, T: float) -> tuple[float, float]:
         """Start ``s*T`` and length of the tilted window ``(s*T, T]``, the one place they are written."""
@@ -152,6 +164,8 @@ class TiltConfig:
         if self.theta2 is not None:
             return self
         expected = params.catastrophe_rate * self.window(T)[1]
+        if not math.isfinite(expected):  # theta2 would be 0, though only the horizon is at fault
+            raise InputError(f"horizon T={T} expects {expected} catastrophes on the tilted window", "T")
         return replace(self, theta2=1.0 / (1.0 + expected))
 
     def weight(self, births, cats, params: ModelParams, T: float) -> np.ndarray:
@@ -281,18 +295,6 @@ class _Block:
         return PathSample(self.times[row, :n], self.kinds[row, :n], self.post_states(np.array([row]))[0, :n])
 
 
-class BudgetError(ValueError):
-    """An input asks one computation for more than its budget; ``field`` names it: ``T``, ``theta1`` or ``theta2``."""
-
-    def __init__(self, message: str, field: str):
-        super().__init__(message)
-        self.field = field
-
-    def __reduce__(self):
-        # the field survives the trip back from a pool worker
-        return type(self), (str(self), self.field)
-
-
 # Most events one Poisson draw may expect over a block, rows x mean.  A
 # two-stream block peaks at 38-50 bytes per event in its time, key and state
 # matrices (tracemalloc at T = 160 and 40), so a block at the budget needs
@@ -303,9 +305,9 @@ _CAUSES = {"T": "horizon T", "theta1": "tilt multiplier theta1", "theta2": "tilt
 
 
 def _check_mean(mean: float, rows: int, field: str) -> float:
-    """``mean``, if ``rows`` draws of it expect at most the budget; else a :class:`BudgetError` naming its input."""
+    """``mean``, if ``rows`` draws of it expect at most the budget; else an :class:`InputError` naming its input."""
     if not rows * mean <= BLOCK_EVENT_BUDGET:
-        raise BudgetError(
+        raise InputError(
             f"{_CAUSES[field]} gives {mean:.3g} expected events per replica in one stream, {rows * mean:.3g} "
             f"in a block of {rows}, beyond the per-block budget of {BLOCK_EVENT_BUDGET} events",
             field,
@@ -615,7 +617,7 @@ def optimal_path(x: float, params: ModelParams) -> OptimalPath:
     slope ``x`` from the origin.
     """
     if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"deviation level x must be finite and > 0, got {x}")
+        raise InputError(f"deviation level x must be finite and > 0, got {x}", "x")
     if x < params.alpha:
         return OptimalPath(breakpoint=1.0 - x / params.alpha, slope=params.alpha)
     return OptimalPath(breakpoint=0.0, slope=x)

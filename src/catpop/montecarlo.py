@@ -53,6 +53,7 @@ import numpy as np
 from .exact import tail_level
 from .model import (
     EventKind,
+    InputError,
     ModelParams,
     PathSample,
     TiltConfig,
@@ -98,7 +99,10 @@ def default_tilt(x: float, params: ModelParams) -> TiltConfig:
     nearly empty tilted window with weights of about 1.
     """
     path = optimal_path(x, params)
-    return TiltConfig(min(path.breakpoint, math.nextafter(1.0, 0.0)), path.slope / params.birth_rate, None)
+    theta1 = path.slope / params.birth_rate
+    if not math.isfinite(theta1):  # the level is at fault, whatever multiplier a caller puts in its place
+        raise InputError(f"deviation level x={x} gives birth multiplier theta1={theta1}, which must be finite", "x")
+    return TiltConfig(min(path.breakpoint, math.nextafter(1.0, 0.0)), theta1, None)
 
 
 def likelihood_ratio(path: PathSample, tilt: TiltConfig, params: ModelParams, T: float) -> float:

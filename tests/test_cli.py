@@ -187,7 +187,7 @@ def test_sweep_csv_with_failure_row(tmp_path, argv, header):
         assert rows[1][-1] == ""
         assert rows[2][0] == bad
         assert len(rows[2]) == len(header)
-        assert rows[2][-1].startswith("ValueError: horizon T must be finite and > 0")
+        assert rows[2][-1].startswith("InputError: horizon T must be finite and > 0")
         assert all(cell == "" for cell in rows[2][1:-1])
 
 
@@ -326,11 +326,20 @@ def test_poisson_mean_out_of_range_names_its_cause(tmp_path, capsys, argv, cause
          "tilt-theta1"),
         (["paths", "--T", "160", "--x", "0.5", "--n", "10", "--tilt-theta2", "1e6"], "tilt-theta2"),
         (["paths", "--T", "160", "--x", "1e6", "--n", "10"], "x"),
+        (["estimate", "--T", "160", "--x", "1e307", "--n", "10"], "x"),
+        (["estimate", "--T", "160", "--x", "1e307", "--n", "10", "--method", "is"], "x"),
+        (["paths", "--T", "160", "--x", "1e307", "--n", "10"], "x"),
+        (["exact", "--T", "1e6", "--x", "1e303"], "x"),
+        (["estimate", "--T", "4", "--x", "1e10", "--n", "10", "--method", "is", "--lambda", "1e-300",
+          "--tilt-theta1", "2"], "x"),
+        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10", "--method", "is", "--alpha", "1e10",
+          "--tilt-s", "0"], "T"),
     ],
 )
 def test_budget_refusal_is_keyed_by_the_input_that_set_it(tmp_path, capsys, argv, key):
-    # the oracle's Poisson window and the per-block event budget name the flag at fault;
-    # a multiplier the default tilt derived from the level names x
+    # the oracle's Poisson window, the per-block event budget and the tail level x*T name the
+    # flag at fault; a multiplier the default tilt derived from the level names x, even where a
+    # flag replaces it, and a horizon-matched theta2 the catastrophes of T overflow names T
     rc, _ = _run(tmp_path, *argv)
     assert rc == 2
     record = json.loads(capsys.readouterr().err)
@@ -374,19 +383,38 @@ def test_config_bad_value_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["key"] == "T"
 
 
-@pytest.mark.parametrize("case", ["unreadable", "line-without-equals"])
+@pytest.mark.parametrize("case", ["unreadable", "line-without-equals", "not-utf8"])
 def test_config_file_errors_are_keyed_config(tmp_path, capsys, case):
     config = tmp_path / "run.cfg"  # left unwritten in the unreadable case
     if case == "line-without-equals":
         config.write_text("T = 2\nx 0.5\n")
+    if case == "not-utf8":
+        config.write_bytes(b"T = 2\nx = \xff\n")
     rc, text = _run(tmp_path, "estimate", "--config", str(config))
     assert rc == 2
     assert text == ""
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "config"
     assert record["key"] == "config"
-    expected = {"unreadable": "cannot read config file", "line-without-equals": "run.cfg:2: expected 'key = value'"}
+    expected = {
+        "unreadable": "cannot read config file",
+        "line-without-equals": "run.cfg:2: expected 'key = value'",
+        "not-utf8": f"cannot read config file {config}: 'utf-8' codec can't decode byte 0xff",
+    }
     assert expected[case] in record["message"]
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_unwritable_out_is_keyed_out(tmp_path, capsys, case):
+    out = tmp_path / "missing" / "file" if case == "missing-directory" else tmp_path
+    rc = main(["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    assert record["key"] == "out"
+    assert record["message"].startswith(f"cannot write output file {out}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -673,7 +673,7 @@ def test_sweep_isolates_per_horizon_failures():
     points = rate_curve_sweep(P111, 0.5, [4.0, -1.0], "naive", 1_000, 59)
     assert points[0].result is not None and points[0].error is None
     assert points[1].result is None
-    assert "ValueError" in points[1].error
+    assert points[1].error.startswith("InputError: horizon T must be finite and > 0")
 
 
 def test_sweep_rejects_unknown_method():
