@@ -12,9 +12,11 @@ float reads back bit for bit and files are bit-stable regression
 fixtures.  All randomness derives from the single ``--seed`` value; the
 worker count never changes an output byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(optimizer or truncation budget), 4 statistical failure (no qualifying
-samples).  Failures print a machine-readable JSON record to stderr.
+Exit codes: 0 success, 2 refused input (a :class:`model.InputError`, the
+CLI's own or the library's), 3 numerical failure (optimizer, truncation
+budget or any other ``ValueError`` of ours), 4 statistical failure (no
+qualifying samples).  Failures print a machine-readable JSON record to
+stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import cache
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -56,14 +59,6 @@ from .rates import (
     terminal_rate,
     terminal_rate_variational,
 )
-
-
-class ConfigError(Exception):
-    """Invalid or missing configuration; carries the offending key."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
 
 
 _REQUIRED = object()
@@ -105,6 +100,20 @@ _finite = _finite_float()
 _positive = _finite_float(" and > 0", lambda value: value > 0)
 
 
+def _writable(path: str) -> str:
+    """The ``out`` cast: refuses, before any work, a path that cannot be written; creates and truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.basename(path):
+        cause = "it names no file"
+    elif not os.path.isdir(parent):
+        cause = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        cause = "permission denied"
+    else:
+        return path
+    raise InputError(f"cannot write output file {path}: {cause}", "out")
+
+
 def _parse_T_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -125,7 +134,7 @@ _COMMON = [
     Opt("lambda", _positive, 1.0, "growth weight, finite and > 0"),
     Opt("mu", _positive, 1.0, "catastrophe weight, finite and > 0"),
     Opt("alpha", _positive, 1.0, "event-clock rate, finite and > 0"),
-    Opt("out", str, None, "output file (default: stdout)"),
+    Opt("out", _writable, None, "output file (default: stdout)"),
     Opt("format", str, None, "output format", choices=("csv", "json")),
 ]
 
@@ -176,7 +185,7 @@ def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
     return replace(tilt, **overrides).at_horizon(params, cfg["T"])
 
 
-def _input_key(field: str, cfg: dict) -> str:
+def _input_key(field: str | None, cfg: dict) -> str | None:
     """The option behind an argument the library refused (:class:`model.InputError`).
 
     A tilt field is its flag, or ``x`` where the default tilt set it from
@@ -228,7 +237,7 @@ def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
     # the rate increases with x, so a finite rate at x_max bounds the whole grid
     if not (math.isfinite(x_max * cfg["grid"]) and x_max > 0 and math.isfinite(terminal_rate(x_max, params))):
-        raise ConfigError(f"x must be > 0 with finite x*grid and rate, got x={x_max}, grid={cfg['grid']}", key="x")
+        raise InputError(f"x must be > 0 with finite x*grid and rate, got x={x_max}, grid={cfg['grid']}", "x")
     rows = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]
@@ -244,7 +253,7 @@ def _cmd_estimate(cfg: dict, params: ModelParams):
     if cfg["method"] == "naive":
         for key in _TILT_FIELDS:
             if cfg[key] is not None:
-                raise ConfigError(f"{key!r} sets the importance-sampling tilt; method 'naive' takes none", key=key)
+                raise InputError(f"{key!r} sets the importance-sampling tilt; method 'naive' takes none", key)
         result = estimate_tail_naive(params, cfg["T"], cfg["x"], cfg["n"], cfg["seed"], cfg["workers"])
         doc["tilt"] = None
     else:
@@ -423,17 +432,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """The command and the raw flag values; any argument argparse cannot take is a keyed ConfigError."""
+    """The command and the raw flag values; any argument argparse cannot take is a keyed InputError."""
     try:
         args, extra = _build_parser().parse_known_args(argv)
     except argparse.ArgumentError as exc:
         # argument_name is the flag ("--x") or the subcommand's "command"
-        raise ConfigError(str(exc), key=exc.argument_name.lstrip("-")) from exc
+        raise InputError(str(exc), exc.argument_name.lstrip("-")) from exc
     if args.command is None:
-        raise ConfigError(f"missing command, one of {', '.join(_COMMANDS)}", key="command")
+        raise InputError(f"missing command, one of {', '.join(_COMMANDS)}", "command")
     if extra:
         # an unknown flag such as --bogus, or a stray value
-        raise ConfigError(f"unknown argument {extra[0]!r}", key=extra[0].lstrip("-").partition("=")[0])
+        raise InputError(f"unknown argument {extra[0]!r}", extra[0].lstrip("-").partition("=")[0])
     return args
 
 
@@ -443,13 +452,13 @@ def _read_config_file(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}", key="config") from exc
+        raise InputError(f"cannot read config file {path}: {exc}", "config") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}", key="config")
+            raise InputError(f"{path}:{lineno}: expected 'key = value', got {line!r}", "config")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
     return entries
@@ -468,22 +477,21 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     given += [(key, getattr(args, key)) for key in opts if getattr(args, key) is not None]
     for key, raw in given:
         if key not in opts:
-            raise ConfigError(f"unknown configuration key {key!r}", key=key)
+            raise InputError(f"unknown configuration key {key!r}", key)
         opt = opts[key]
         try:
             value = opt.cast(raw)
+        except InputError:
+            raise  # a cast that words its own refusal
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", key=key) from exc
+            raise InputError(f"bad value for {key!r}: {exc}", key) from exc
         if opt.choices and value not in opt.choices:
-            raise ConfigError(
-                f"bad value for {key!r}: expected one of {opt.choices}, got {value!r}",
-                key=key,
-            )
+            raise InputError(f"bad value for {key!r}: expected one of {opt.choices}, got {value!r}", key)
         cfg[key] = value
 
     for key, opt in opts.items():
         if opt.default is _REQUIRED and cfg[key] is None:
-            raise ConfigError(f"missing required key {key!r}", key=key)
+            raise InputError(f"missing required key {key!r}", key)
 
     if cfg["format"] is None:
         cfg["format"] = _COMMANDS[command]["default_format"]
@@ -498,12 +506,12 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {out}: {exc}", key="out") from exc
+        raise InputError(f"cannot write output file {out}: {exc}", "out") from exc
 
 
 def _error_record(category: str, exc: Exception) -> None:
     record = {"error": category, "message": str(exc)}
-    key = getattr(exc, "key", None)
+    key = getattr(exc, "field", None)
     if key is not None:
         record["key"] = key
     sys.stderr.write(json.dumps(record) + "\n")
@@ -513,11 +521,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         cfg = _merge_config(args.command, args)
-        params = ModelParams(lam=cfg["lambda"], mu=cfg["mu"], alpha=cfg["alpha"])
         try:
+            params = ModelParams(lam=cfg["lambda"], mu=cfg["mu"], alpha=cfg["alpha"])
             body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
         except InputError as exc:
-            raise ConfigError(str(exc), key=_input_key(exc.field, cfg)) from exc
+            raise InputError(str(exc), _input_key(exc.field, cfg)) from exc
         if cfg["format"] == "json":
             params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
             doc = {"command": args.command, "params": params_doc, **body}
@@ -526,18 +534,15 @@ def main(argv: list[str] | None = None) -> int:
             text = _render_csv(header, rows)
         _emit(text, cfg["out"])
         return 0
-    except ConfigError as exc:
+    except InputError as exc:
         _error_record("config", exc)
         return 2
-    except (TruncationBudgetExceeded, OptimizerConvergenceError) as exc:
+    except (TruncationBudgetExceeded, OptimizerConvergenceError, ValueError) as exc:
         _error_record("numerical", exc)
         return 3
     except NoQualifyingSamplesError as exc:
         _error_record("statistical", exc)
         return 4
-    except ValueError as exc:
-        _error_record("config", exc)
-        return 2
 
 
 if __name__ == "__main__":

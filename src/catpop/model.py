@@ -74,9 +74,13 @@ from .streams import check_seed, replica_rng
 
 
 class InputError(ValueError):
-    """A library argument refused as input; ``field`` names it, such as ``T``, ``x`` or ``theta1``."""
+    """An input refused; ``field`` names it, or is ``None`` where no single input is at fault.
 
-    def __init__(self, message: str, field: str):
+    The library names its own argument, such as ``T``, ``x`` or ``theta1``;
+    once :func:`catpop.cli.main` has translated it, ``field`` is the option.
+    """
+
+    def __init__(self, message: str, field: str | None):
         super().__init__(message)
         self.field = field
 
@@ -102,12 +106,12 @@ class ModelParams:
         for name in ("lam", "mu", "alpha"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+                raise InputError(f"{name} must be finite and > 0, got {v}", name)
         # lam + mu may overflow, and a stream rate may underflow to 0
         for name, v in (("lam + mu", self.lam + self.mu), ("birth_rate", self.birth_rate),
                         ("catastrophe_rate", self.catastrophe_rate)):
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v} from {self}")
+                raise InputError(f"{name} must be finite and > 0, got {v} from {self}", None)
 
     @property
     def birth_prob(self) -> float:

@@ -158,7 +158,7 @@ def _worker_count(workers: int, blocks: int) -> int:
 
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
+        raise InputError(f"eps must be finite and > 0, got {eps}", "eps")
 
 
 # glibc's mallopt parameters (malloc.h) and the values a worker keeps its heap with
@@ -357,7 +357,7 @@ def sup_exceedance_fraction(
     """Fraction of replicas whose scaled path ever exceeds eps."""
     _check_eps(eps)
     if math.isfinite(T) and not math.isfinite(eps * T):
-        raise ValueError(f"eps must be finite and > 0 with eps*T finite, got eps={eps}, T={T}")
+        raise InputError(f"eps must be finite and > 0 with eps*T finite, got eps={eps}, T={T}", "eps")
     # sup/T > eps is sup/T >= the next float above eps; tail_level rejects a bad T
     level = tail_level(float(np.nextafter(eps, math.inf)), T)
     sums = _run_replicas(partial(_decomposed_block, params, T), seed, n, workers, ("sup", level))

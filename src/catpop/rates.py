@@ -6,6 +6,9 @@ recovered by an independent numerical route, maximizing the two-variable
 objective ``variational_objective`` that arises from splitting the process
 into its birth and catastrophe streams; agreement of the two routes is an
 executable identity, not an implementation detail shared between them.
+The maximizer searches in log coordinates, so its tolerances are relative,
+and every evaluation of the objective draws on one budget, so a call
+returns or raises :class:`OptimizerConvergenceError`.
 Both routes, like the simulation kernels, read the stream intensities from
 ``ModelParams`` (the birth intensity b = ``birth_rate``, the clock rate
 alpha) and share nothing else.
@@ -123,58 +126,65 @@ def terminal_rate_variational(
 ) -> tuple[float, VariationalPoint]:
     """Recover the terminal decay rate by direct numerical maximization.
 
-    A coarse log-spaced grid over (y, z) seeds coordinate-wise golden-section
-    refinement; concavity of the objective in each coordinate makes both
-    stages sound.  Returns ``(-sup, argmax)``.  The supremum over z is taken
-    on the closed interval (0, 1]; for x >= alpha it is attained on the
-    boundary z = 1.
+    The search runs in log coordinates s = ln y and t = ln z, so its
+    tolerances are relative and no level is too large or too small for them.
+    A coarse grid over (s, t) seeds coordinate-wise golden-section
+    refinement; the objective is concave in y and in z, hence unimodal in s
+    and in t, which makes both stages sound.  Returns ``(-sup, argmax)``.
+    The supremum over z is taken on the closed interval (0, 1]; for
+    x >= alpha it is attained on the boundary z = 1.  The argmax's ``z``
+    reads 0 where x/alpha lies below the float range; the value keeps its
+    accuracy there, since alpha*z is computed as exp(t + ln alpha).
 
-    Raises :class:`OptimizerConvergenceError` if the evaluation budget runs
-    out before the argmax settles to ``tol``.
+    Every evaluation of the objective, on the grid and in each golden step,
+    draws on the one ``max_evals`` budget; :class:`OptimizerConvergenceError`
+    is raised when it runs out before the argmax settles to ``tol``.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be finite and > 0, got {x}")
-    alpha = params.alpha
+    log_alpha = math.log(params.alpha)
     log_ratio = -math.log(params.birth_rate)
 
     evals = 0
 
-    def f(y: float, z: float) -> float:
+    def spend(count: int) -> None:
         nonlocal evals
-        evals += 1
-        return -y * (math.log(y / z) + log_ratio) + y - alpha * z
+        evals += count
+        if evals > max_evals:
+            raise OptimizerConvergenceError(
+                f"no convergence within {max_evals} evaluations (x={x}, params={params})"
+            )
 
-    # coarse grid; the effective y range is [x, max(x, alpha)] since the
-    # objective falls off beyond the per-z stationary point
-    y_hi = 1.5 * max(x, alpha)
-    z_lo = min(x / alpha, 1.0) / 16.0
-    ys = np.geomspace(x, y_hi, 48)
-    zs = np.geomspace(z_lo, 1.0, 48)
-    yy, zz = np.meshgrid(ys, zs, indexing="ij")
-    # near the float limit a cell's y*log(y/z) overflows; that cell is -inf, never the maximum
+    def f(s: float, t: float) -> float:
+        spend(1)
+        y = math.exp(s)
+        return -y * (s - t + log_ratio) + y - math.exp(t + log_alpha)
+
+    # the maximizing y for a given z is max(x, b*z) <= max(x, alpha), and the
+    # maximizing z is min(x/alpha, 1); the z range reaches 16 times below it
+    s_lo = math.log(x)
+    s_hi = max(s_lo, log_alpha)
+    t_lo = min(s_lo - log_alpha, 0.0) - math.log(16.0)
+    ss = np.linspace(s_lo, s_hi, 48)
+    ts = np.linspace(t_lo, 0.0, 48)
+    spend(ss.size * ts.size)
+    grid_s, grid_t = np.meshgrid(ss, ts, indexing="ij")
+    yy = np.exp(grid_s)
+    # near the float limit a cell's y*(s - t + ln(1/b)) overflows; that cell is -inf, never the maximum
     with np.errstate(over="ignore"):
-        ff = -yy * (np.log(yy / zz) + log_ratio) + yy - alpha * zz
-    evals += ff.size
+        ff = -yy * (grid_s - grid_t + log_ratio) + yy - np.exp(grid_t + log_alpha)
     flat = int(np.argmax(ff))
-    y_best = float(yy.flat[flat])
-    z_best = float(zz.flat[flat])
+    s_best = float(grid_s.flat[flat])
+    t_best = float(grid_t.flat[flat])
 
     inner_tol = tol * 1e-3
-    converged = False
-    while evals < max_evals:
-        y_new, _ = _golden_max(lambda t: f(t, z_best), x, y_hi, inner_tol)
-        z_new, _ = _golden_max(lambda t: f(y_new, t), z_lo, 1.0, inner_tol)
-        moved = max(abs(y_new - y_best), abs(z_new - z_best))
-        y_best, z_best = y_new, z_new
+    while True:
+        s_new, _ = _golden_max(lambda s: f(s, t_best), s_lo, s_hi, inner_tol)
+        t_new, value = _golden_max(lambda t: f(s_new, t), t_lo, 0.0, inner_tol)
+        moved = max(abs(s_new - s_best), abs(t_new - t_best))
+        s_best, t_best = s_new, t_new
         if moved < tol / 4.0:
-            converged = True
-            break
-    if not converged:
-        raise OptimizerConvergenceError(
-            f"no convergence within {max_evals} evaluations (x={x}, params={params})"
-        )
-    value = variational_objective(y_best, z_best, params)
-    return -value, VariationalPoint(y_best, z_best, value)
+            return -value, VariationalPoint(math.exp(s_best), math.exp(t_best), value)
 
 
 def catastrophe_lower_tail_bound(

@@ -27,8 +27,8 @@ CONTRACT = [
      "496e36f247d60c799c09f1cb4b0a3253c7b707fb57d391013c9ed83d1bec0b62"),
     ("exact --T 4 --x 0.5", "f38ca916de8844fc4aaaeec08ebd49e339a0e6dca6273a9d14755e1ed978f066"),
     ("exact --T 4 --x 0.5 --format csv", "3953b8b6823722de311f26310d5936daa8ae33cf6639d848796b92040f7186b6"),
-    ("rate --grid 5 --x 2", "2239705beb133c42b7361536e5b0c3d947b95f93fe52a2698131bfe2e83673b2"),
-    ("rate --format json", "a227e7796542a2558569ada264b7b450f82b6f63cda12fe8e225d290feed7f91"),
+    ("rate --grid 5 --x 2", "d137860f871d6bfbbdbaa37dfcf54ecb43833b5d85a1eda501dcaac4a906b5a9"),
+    ("rate --format json", "30aa76fb701fd51e8012301c5b9f5fd3c6de8ffb59c28cb42d7bc1d4ad862a11"),
     ("estimate --T 4 --x 0.5 --n 2000 --seed 7 --method is",
      "03d6ef72c1b8c51817e23bc27143d348e757206d64581341e3872ebe05b02091"),
     # the CSV row carries the ess_warning bool

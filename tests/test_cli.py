@@ -115,6 +115,31 @@ def test_rate_variational_column_agrees(tmp_path):
         assert abs(closed - variational) <= 1e-6
 
 
+@pytest.mark.parametrize("argv", [["--alpha", "1e200", "--x", "1e-200"], ["--x", "1e-12"]])
+def test_rate_far_from_the_clock_rate_agrees_with_the_closed_form(tmp_path, argv):
+    # x/alpha underflowed the old linear search's z range (exit 2), and at 1e-12 an absolute
+    # tolerance on z read a rate 3.6 times too large
+    rc, text = _run(tmp_path, "rate", "--grid", "1", *argv)
+    assert rc == 0
+    _, closed, variational, _, _ = map(float, text.splitlines()[1].split(","))
+    assert math.isclose(variational, closed, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, entry", [(["rate", "--grid", "1"], "terminal_rate_variational"), (["exact", "--T", "4"], "exact_state_distribution")]
+)
+def test_a_failure_of_ours_that_is_not_a_refusal_exits_numerical(tmp_path, capsys, monkeypatch, argv, entry):
+    def fails(*args, **kwargs):
+        raise ValueError("not an input refusal")
+
+    monkeypatch.setattr(cli, entry, fails)
+    rc, text = _run(tmp_path, *argv)
+    assert rc == 3
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "numerical", "message": "not an input refusal"}
+
+
 def test_estimate_json_schema(tmp_path):
     rc, text = _run(
         tmp_path, "estimate", "--T", "4", "--x", "0.5", "--n", "2000", "--method", "is"
@@ -189,6 +214,14 @@ def test_sweep_csv_with_failure_row(tmp_path, argv, header):
         assert len(rows[2]) == len(header)
         assert rows[2][-1].startswith("InputError: horizon T must be finite and > 0")
         assert all(cell == "" for cell in rows[2][1:-1])
+
+
+def test_lln_horizon_whose_eps_T_overflows_is_a_failure_row(tmp_path):
+    rc, text = _run(tmp_path, "lln", "--T-list", "4,1e300", "--eps", "1e10", "--n", "10")
+    assert rc == 0
+    rows = text.splitlines()
+    assert rows[1].endswith(",")
+    assert rows[2].startswith('1.0000000000000001e+300,,,,,"InputError: eps must be finite and > 0 with eps*T finite')
 
 
 @pytest.mark.parametrize(
@@ -415,6 +448,39 @@ def test_unwritable_out_is_keyed_out(tmp_path, capsys, case):
     assert record["error"] == "config"
     assert record["key"] == "out"
     assert record["message"].startswith(f"cannot write output file {out}")
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch, case, source):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "estimate_tail_naive", reached)
+    out = tmp_path / "missing" / "file" if case == "missing-directory" else tmp_path
+    argv = ["estimate", "--T", "4", "--x", "0.5", "--n", "10"]
+    if source == "flag":
+        argv += ["--out", str(out)]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out = {out}\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "out"
+
+
+def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier result\n")
+    rc = main([
+        "paths", "--T", "4", "--x", "40", "--n", "50", "--tilt-s", "0", "--tilt-theta1", "1", "--tilt-theta2", "1",
+        "--out", str(out),
+    ])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "statistical"
+    assert out.read_bytes() == b"earlier result\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -727,8 +793,10 @@ def test_error_record_is_one_json_line(tmp_path, capsys, argv, code):
         (["estimate", "--T"], "T"),
         ([], "command"),
         (["estimate", "--T", "4", "--x", "0.5", "--tilt", "3"], "tilt"),
+        (["estimate", "--T", "4", "--x", "0.5", "--theta1", "5"], "theta1"),
     ],
-    ids=["value-read-as-flag", "unknown-flag", "flag-without-value", "no-command", "prefix-of-flags"],
+    ids=["value-read-as-flag", "unknown-flag", "flag-without-value", "no-command", "prefix-of-flags",
+         "unknown-flag-named-like-a-tilt-field"],
 )
 def test_argument_argparse_cannot_take_is_a_keyed_record(capsys, argv, key):
     rc = main(argv)
@@ -835,7 +903,7 @@ def test_readme_examples_parse():
         try:
             args = cli._parse_args(shlex.split(line)[1:])
             cli._merge_config(args.command, args)
-        except cli.ConfigError as exc:
+        except cli.InputError as exc:
             pytest.fail(f"{line}: {exc}")
 
 def test_missing_required_key_rejected(tmp_path, capsys):
@@ -856,8 +924,9 @@ def test_invalid_model_parameter_rejected(tmp_path):
     [
         (["exact", "--T", "4", "--x", "0.5", "--lambda", "1e308", "--mu", "1e308"], "lam + mu"),
         (["rate", "--lambda", "1e-320", "--mu", "1e10"], "birth_rate"),
+        (["rate", "--lambda", "1e300", "--mu", "1e-300", "--x", "3", "--grid", "2"], "catastrophe_rate"),
     ],
-    ids=["sum-overflows", "birth-rate-vanishes"],
+    ids=["sum-overflows", "birth-rate-vanishes", "catastrophe-rate-vanishes"],
 )
 def test_weights_whose_stream_rates_overflow_or_vanish_are_a_config_error(tmp_path, capsys, argv, cause):
     rc, text = _run(tmp_path, *argv)
@@ -868,6 +937,7 @@ def test_weights_whose_stream_rates_overflow_or_vanish_are_a_config_error(tmp_pa
     record = json.loads(lines[0])
     assert record["error"] == "config"
     assert record["message"].startswith(f"{cause} must be finite and > 0")
+    assert "key" not in record  # no single flag is at fault
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catpop
 from catpop.exact import poisson_lower_tail_exact, uniform_sum_tail_exact
 from catpop.model import ModelParams, optimal_path
 from catpop.rates import (
@@ -246,3 +251,36 @@ def test_uniform_sum_bound_dominates_exact(m, n, frac):
     bound = uniform_sum_tail_bound((n + 0.5) / T, (m + 0.5) / T, T, a)
     exact = uniform_sum_tail_exact(m, n, a * T)
     assert exact <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("x, alpha", [(1e-12, 1.0), (1e-9, 1.0), (1.0, 1e9), (1e-200, 1e200)])
+def test_variational_agrees_at_levels_far_from_the_clock_rate(x, alpha):
+    # the search runs in ln y and ln z: its tolerances are relative, and alpha*z never
+    # underflows where x/alpha does (at 1e-200/1e200 the argmax's z reads 0)
+    params = ModelParams(1.0, 1.0, alpha)
+    value, argmax = terminal_rate_variational(x, params)
+    assert math.isclose(value, terminal_rate(x, params), rel_tol=1e-9)
+    assert argmax.z == pytest.approx(x / alpha, rel=1e-6, abs=1e-300)
+
+
+@pytest.mark.parametrize("x, alpha, tol", [(1e20, 1e30, 1e-6), (1e300, 1e308, 1e-6), (0.5, 1.0, 0.0)])
+def test_variational_returns_or_raises_within_its_budget(x, alpha, tol):
+    # near 1e20 adjacent floats are 16384 apart, so a search that waits for an absolute
+    # bracket of 1e-9 never returns, and no golden step settles to tol = 0; each call runs
+    # in a child with a timeout, so that such a search fails this test instead of hanging it
+    src = str(Path(catpop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "from catpop.model import ModelParams\n"
+        "from catpop.rates import OptimizerConvergenceError, terminal_rate_variational\n"
+        "try:\n"
+        f"    print(repr(terminal_rate_variational({x!r}, ModelParams(1.0, 1.0, {alpha!r}), tol={tol!r})[0]))\n"
+        "except OptimizerConvergenceError:\n"
+        "    print('budget')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if tol == 0.0:
+        assert proc.stdout == "budget\n"
+    else:
+        assert math.isclose(float(proc.stdout), terminal_rate(x, ModelParams(1.0, 1.0, alpha)), rel_tol=1e-9)
