@@ -6,9 +6,10 @@ recovered by an independent numerical route, maximizing the two-variable
 objective ``variational_objective`` that arises from splitting the process
 into its birth and catastrophe streams; agreement of the two routes is an
 executable identity, not an implementation detail shared between them.
-The maximizer searches in log coordinates, so its tolerances are relative,
-and every evaluation of the objective draws on one budget, so a call
-returns or raises :class:`OptimizerConvergenceError`.
+The maximizer takes y in closed form, y = max(x, b*z), and then runs one
+golden-section search over t = ln z, so its tolerance is relative; every
+evaluation of the objective draws on one budget, so a call returns or
+raises :class:`OptimizerConvergenceError`.
 Both routes, like the simulation kernels, read the stream intensities from
 ``ModelParams`` (the birth intensity b = ``birth_rate``, the clock rate
 alpha) and share nothing else.
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-
-import numpy as np
 
 from .model import ModelParams
 
@@ -82,7 +81,7 @@ def variational_objective(y: float, z: float, params: ModelParams) -> float:
     """The two-stream deviation objective -y*ln(y/(b*z)) + y - alpha*z, b the birth intensity.
 
     Defined for y >= 0 and z > 0, with the y*ln(y) -> 0 limit at y = 0.
-    Concave in each argument; its constrained supremum over y >= x,
+    Jointly concave in (y, z); its constrained supremum over y >= x,
     0 < z <= 1 equals minus :func:`terminal_rate` at x.
     """
     if z <= 0:
@@ -126,65 +125,43 @@ def terminal_rate_variational(
 ) -> tuple[float, VariationalPoint]:
     """Recover the terminal decay rate by direct numerical maximization.
 
-    The search runs in log coordinates s = ln y and t = ln z, so its
-    tolerances are relative and no level is too large or too small for them.
-    A coarse grid over (s, t) seeds coordinate-wise golden-section
-    refinement; the objective is concave in y and in z, hence unimodal in s
-    and in t, which makes both stages sound.  Returns ``(-sup, argmax)``.
+    For fixed z the objective is concave in y with its stationary point at
+    y = b*z, so the best y >= x is taken in closed form, y*(z) = max(x, b*z).
+    The objective is jointly concave, so what is left, g(z) = f(y*(z), z),
+    is concave in z and unimodal in t = ln z; one golden-section search over
+    t maximizes it, and its tolerance is relative, so no level is too large
+    or too small for it.  Returns ``(-sup, argmax)``.
     The supremum over z is taken on the closed interval (0, 1]; for
     x >= alpha it is attained on the boundary z = 1.  The argmax's ``z``
     reads 0 where x/alpha lies below the float range; the value keeps its
     accuracy there, since alpha*z is computed as exp(t + ln alpha).
 
-    Every evaluation of the objective, on the grid and in each golden step,
-    draws on the one ``max_evals`` budget; :class:`OptimizerConvergenceError`
-    is raised when it runs out before the argmax settles to ``tol``.
+    Every evaluation of the objective draws on the one ``max_evals`` budget;
+    :class:`OptimizerConvergenceError` is raised when it runs out before
+    the argmax settles to ``tol``.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be finite and > 0, got {x}")
+    log_x = math.log(x)
     log_alpha = math.log(params.alpha)
-    log_ratio = -math.log(params.birth_rate)
-
+    log_b = math.log(params.birth_rate)
     evals = 0
 
-    def spend(count: int) -> None:
+    def g(t: float) -> float:
         nonlocal evals
-        evals += count
+        evals += 1
         if evals > max_evals:
             raise OptimizerConvergenceError(
                 f"no convergence within {max_evals} evaluations (x={x}, params={params})"
             )
-
-    def f(s: float, t: float) -> float:
-        spend(1)
+        s = max(log_x, log_b + t)
         y = math.exp(s)
-        return -y * (s - t + log_ratio) + y - math.exp(t + log_alpha)
+        return -y * (s - t - log_b) + y - math.exp(t + log_alpha)
 
-    # the maximizing y for a given z is max(x, b*z) <= max(x, alpha), and the
-    # maximizing z is min(x/alpha, 1); the z range reaches 16 times below it
-    s_lo = math.log(x)
-    s_hi = max(s_lo, log_alpha)
-    t_lo = min(s_lo - log_alpha, 0.0) - math.log(16.0)
-    ss = np.linspace(s_lo, s_hi, 48)
-    ts = np.linspace(t_lo, 0.0, 48)
-    spend(ss.size * ts.size)
-    grid_s, grid_t = np.meshgrid(ss, ts, indexing="ij")
-    yy = np.exp(grid_s)
-    # near the float limit a cell's y*(s - t + ln(1/b)) overflows; that cell is -inf, never the maximum
-    with np.errstate(over="ignore"):
-        ff = -yy * (grid_s - grid_t + log_ratio) + yy - np.exp(grid_t + log_alpha)
-    flat = int(np.argmax(ff))
-    s_best = float(grid_s.flat[flat])
-    t_best = float(grid_t.flat[flat])
-
-    inner_tol = tol * 1e-3
-    while True:
-        s_new, _ = _golden_max(lambda s: f(s, t_best), s_lo, s_hi, inner_tol)
-        t_new, value = _golden_max(lambda t: f(s_new, t), t_lo, 0.0, inner_tol)
-        moved = max(abs(s_new - s_best), abs(t_new - t_best))
-        s_best, t_best = s_new, t_new
-        if moved < tol / 4.0:
-            return -value, VariationalPoint(math.exp(s_best), math.exp(t_best), value)
+    # the maximizing z is min(x/alpha, 1); the range reaches 16 times below it
+    t_lo = min(log_x - log_alpha, 0.0) - math.log(16.0)
+    t, value = _golden_max(g, t_lo, 0.0, tol * 1e-3)
+    return -value, VariationalPoint(math.exp(max(log_x, log_b + t)), math.exp(t), value)
 
 
 def catastrophe_lower_tail_bound(

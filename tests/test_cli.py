@@ -115,10 +115,19 @@ def test_rate_variational_column_agrees(tmp_path):
         assert abs(closed - variational) <= 1e-6
 
 
-@pytest.mark.parametrize("argv", [["--alpha", "1e200", "--x", "1e-200"], ["--x", "1e-12"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "1e200", "--x", "1e-200"],
+        ["--x", "1e-12"],
+        ["--mu", "1e-4", "--x", "0.5"],
+        ["--mu", "1e-3", "--x", "0.06"],
+    ],
+)
 def test_rate_far_from_the_clock_rate_agrees_with_the_closed_form(tmp_path, argv):
-    # x/alpha underflowed the old linear search's z range (exit 2), and at 1e-12 an absolute
-    # tolerance on z read a rate 3.6 times too large
+    # x/alpha underflowed the old linear search's z range (exit 2), at 1e-12 an absolute
+    # tolerance on z read a rate 3.6 times too large, and at mu << lambda the objective is
+    # nearly flat along the ridge y = b*z, where an ascent in y and z in turn exits 3
     rc, text = _run(tmp_path, "rate", "--grid", "1", *argv)
     assert rc == 0
     _, closed, variational, _, _ = map(float, text.splitlines()[1].split(","))
