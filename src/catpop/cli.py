@@ -12,6 +12,11 @@ float reads back bit for bit and files are bit-stable regression
 fixtures.  All randomness derives from the single ``--seed`` value; the
 worker count never changes an output byte.
 
+``estimate --method is`` and ``paths`` sample under the default tilt for
+the level (:func:`montecarlo.default_tilt`), so a tilt field the library
+refuses is keyed by ``x``.  Another measure is set from Python, through
+the library's ``tilt`` argument.
+
 Exit codes: 0 success, 2 refused input (a :class:`model.InputError`, the
 CLI's own or the library's), 3 numerical failure (optimizer, truncation
 budget or any other ``ValueError`` of ours), 4 statistical failure (no
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cache
 import io
 import json
@@ -143,12 +148,6 @@ _SEED = Opt("seed", _int_in(0, 2**64 - 1), 0, "base seed, an integer in [0, 2**6
 # only the commands that run replicas in blocks spread them over worker processes
 _WORKERS = Opt("workers", _int_in(1), 1, "worker processes for replica fan-out, >= 1")
 
-_TILT = [
-    Opt("tilt-s", float, None, "override: scaled time where tilting begins"),
-    Opt("tilt-theta1", float, None, "override: birth-stream intensity multiplier"),
-    Opt("tilt-theta2", float, None, "override: catastrophe-stream intensity multiplier"),
-]
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -176,25 +175,10 @@ def _plain(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-_TILT_FIELDS = {"tilt-s": "switch_time_s", "tilt-theta1": "theta1", "tilt-theta2": "theta2"}
-
-
-def _resolve_tilt(cfg: dict, params: ModelParams) -> TiltConfig:
+def _tilt(cfg: dict, params: ModelParams) -> TiltConfig:
+    """The importance-sampling measure: the default tilt for the level, untilted where x <= 0."""
     tilt = default_tilt(cfg["x"], params) if cfg["x"] > 0 else TiltConfig()
-    overrides = {field: cfg[key] for key, field in _TILT_FIELDS.items() if cfg[key] is not None}
-    return replace(tilt, **overrides).at_horizon(params, cfg["T"])
-
-
-def _input_key(field: str | None, cfg: dict) -> str | None:
-    """The option behind an argument the library refused (:class:`model.InputError`).
-
-    A tilt field is its flag, or ``x`` where the default tilt set it from
-    the level; any other field is the option of its name.
-    """
-    key = next((key for key, name in _TILT_FIELDS.items() if name == field), None)
-    if key is None:
-        return field
-    return key if cfg.get(key) is not None else "x"
+    return tilt.at_horizon(params, cfg["T"])
 
 
 def _cmd_simulate(cfg: dict, params: ModelParams):
@@ -251,13 +235,10 @@ def _cmd_rate(cfg: dict, params: ModelParams):
 def _cmd_estimate(cfg: dict, params: ModelParams):
     doc = {"T": cfg["T"], "x": cfg["x"], "n": cfg["n"], "method": cfg["method"]}
     if cfg["method"] == "naive":
-        for key in _TILT_FIELDS:
-            if cfg[key] is not None:
-                raise InputError(f"{key!r} sets the importance-sampling tilt; method 'naive' takes none", key)
         result = estimate_tail_naive(params, cfg["T"], cfg["x"], cfg["n"], cfg["seed"], cfg["workers"])
         doc["tilt"] = None
     else:
-        tilt = _resolve_tilt(cfg, params)
+        tilt = _tilt(cfg, params)
         result = estimate_tail_is(params, cfg["T"], cfg["x"], tilt, cfg["n"], cfg["seed"], cfg["workers"])
         doc["tilt"] = asdict(tilt)
     doc.update(asdict(result))
@@ -296,7 +277,7 @@ def _cmd_sweep(cfg: dict, params: ModelParams):
 
 
 def _cmd_paths(cfg: dict, params: ModelParams):
-    tilt = _resolve_tilt(cfg, params)
+    tilt = _tilt(cfg, params)
     samples = collect_weighted_paths(
         params, cfg["T"], cfg["x"], tilt, cfg["n"], cfg["seed"], cfg["grid"], cfg["workers"]
     )
@@ -362,7 +343,6 @@ _COMMANDS: dict[str, dict] = {
             Opt("x", _finite, _REQUIRED, "deviation level, finite"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
             Opt("method", str, "naive", "estimator", choices=("naive", "is")),
-            *_TILT,
             _SEED,
             _WORKERS,
         ],
@@ -401,7 +381,6 @@ _COMMANDS: dict[str, dict] = {
             Opt("x", _positive, _REQUIRED, "deviation level, finite and > 0"),
             Opt("n", _int_in(1, MAX_REPLICAS), 10000, "replica count"),
             Opt("grid", _int_in(1, MAX_GRID), 100, "scaled-path grid steps"),
-            *_TILT,
             _SEED,
             _WORKERS,
         ],
@@ -525,7 +504,9 @@ def main(argv: list[str] | None = None) -> int:
             params = ModelParams(lam=cfg["lambda"], mu=cfg["mu"], alpha=cfg["alpha"])
             body, header, rows = _COMMANDS[args.command]["run"](cfg, params)
         except InputError as exc:
-            raise InputError(str(exc), _input_key(exc.field, cfg)) from exc
+            # the library names its own argument; a tilt field was set by the default tilt, from the level
+            key = "x" if exc.field in ("switch_time_s", "theta1", "theta2") else exc.field
+            raise InputError(str(exc), key) from exc
         if cfg["format"] == "json":
             params_doc = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha}
             doc = {"command": args.command, "params": params_doc, **body}

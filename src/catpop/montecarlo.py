@@ -203,10 +203,12 @@ _pool_lock = threading.RLock()
 def _map_blocks(args: list, workers: int) -> list:
     """Run the blocks on the process's pool of ``workers`` workers, forked on first use; results in block order.
 
-    A pool of another size is shut down before the new one forks, so no fork
-    happens while the old pool's threads run.  A dead worker breaks the whole
-    pool: the call that meets it raises ``BrokenProcessPool`` and the pool is
-    dropped, so the next call forks a fresh one.
+    Each worker takes one contiguous chunk of the blocks, so a call makes one
+    round trip per worker, not one per block.  A pool of another size is
+    shut down before the new one forks, so no fork happens while the old
+    pool's threads run.  A dead worker breaks the whole pool: the call that
+    meets it raises ``BrokenProcessPool`` and the pool is dropped, so the
+    next call forks a fresh one.
     """
     global _pool, _pool_workers
     with _pool_lock:
@@ -216,7 +218,7 @@ def _map_blocks(args: list, workers: int) -> list:
             _pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_heap)
             _pool_workers = workers
         try:
-            return list(_pool.map(_run_block, args))
+            return list(_pool.map(_run_block, args, chunksize=math.ceil(len(args) / workers)))
         except BrokenProcessPool:
             _shutdown_pool()
             raise

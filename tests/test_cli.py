@@ -260,25 +260,19 @@ def test_paths_csv_and_distance(tmp_path):
 
 
 def test_paths_statistical_failure(tmp_path, capsys):
-    rc, _ = _run(
-        tmp_path, "paths", "--T", "4", "--x", "40", "--n", "50",
-        "--tilt-s", "0", "--tilt-theta1", "1", "--tilt-theta2", "1",
-    )
+    rc, _ = _run(tmp_path, "paths", "--T", "640", "--x", "2", "--n", "100", "--seed", "11")
     assert rc == 4
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "statistical"
 
 
 def test_estimate_with_every_weight_underflowing_exits_statistical(tmp_path, capsys):
-    rc, text = _run(
-        tmp_path, "estimate", "--T", "4", "--x", "0.5", "--method", "is", "--n", "100",
-        "--tilt-theta1", "300",
-    )
+    rc, text = _run(tmp_path, "estimate", "--T", "320", "--x", "2", "--method", "is", "--n", "1000", "--seed", "11")
     assert rc == 4
     assert text == ""
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "statistical"
-    assert "theta1=300.0" in record["message"]
+    assert "theta1=4.0" in record["message"]
 
 
 @pytest.mark.parametrize("T", ["240", "200"])
@@ -340,8 +334,7 @@ def test_sweep_rejects_horizon_independent_input_before_any_horizon(capsys, monk
 @pytest.mark.parametrize(
     "argv, cause",
     [
-        (["estimate", "--T", "160", "--x", "0.5", "--method", "is", "--tilt-theta1", "1e300"],
-         "tilt multiplier theta1"),
+        (["estimate", "--T", "160", "--x", "1e6", "--n", "10", "--method", "is"], "tilt multiplier theta1"),
         (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10"], "horizon T"),
         (["simulate", "--T", "1e300"], "horizon T"),
     ],
@@ -364,24 +357,19 @@ def test_poisson_mean_out_of_range_names_its_cause(tmp_path, capsys, argv, cause
         (["estimate", "--T", "1e300", "--x", "0.5", "--n", "3000", "--workers", "2"], "T"),
         (["paths", "--T", "1e300", "--x", "0.5", "--n", "10"], "T"),
         (["simulate", "--T", "1e300"], "T"),
-        (["estimate", "--T", "160", "--x", "0.5", "--n", "10", "--method", "is", "--tilt-theta1", "1e6"],
-         "tilt-theta1"),
-        (["paths", "--T", "160", "--x", "0.5", "--n", "10", "--tilt-theta2", "1e6"], "tilt-theta2"),
         (["paths", "--T", "160", "--x", "1e6", "--n", "10"], "x"),
         (["estimate", "--T", "160", "--x", "1e307", "--n", "10"], "x"),
         (["estimate", "--T", "160", "--x", "1e307", "--n", "10", "--method", "is"], "x"),
         (["paths", "--T", "160", "--x", "1e307", "--n", "10"], "x"),
         (["exact", "--T", "1e6", "--x", "1e303"], "x"),
-        (["estimate", "--T", "4", "--x", "1e10", "--n", "10", "--method", "is", "--lambda", "1e-300",
-          "--tilt-theta1", "2"], "x"),
-        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10", "--method", "is", "--alpha", "1e10",
-          "--tilt-s", "0"], "T"),
+        (["estimate", "--T", "4", "--x", "1e10", "--n", "10", "--method", "is", "--lambda", "1e-300"], "x"),
+        (["estimate", "--T", "1e300", "--x", "0.5", "--n", "10", "--method", "is", "--alpha", "1e10"], "T"),
     ],
 )
 def test_budget_refusal_is_keyed_by_the_input_that_set_it(tmp_path, capsys, argv, key):
     # the oracle's Poisson window, the per-block event budget and the tail level x*T name the
-    # flag at fault; a multiplier the default tilt derived from the level names x, even where a
-    # flag replaces it, and a horizon-matched theta2 the catastrophes of T overflow names T
+    # flag at fault; a multiplier the default tilt derived from the level names x, and a
+    # horizon-matched theta2 the catastrophes of T overflow names T
     rc, _ = _run(tmp_path, *argv)
     assert rc == 2
     record = json.loads(capsys.readouterr().err)
@@ -484,8 +472,7 @@ def test_failed_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
     out = tmp_path / "out.txt"
     out.write_bytes(b"earlier result\n")
     rc = main([
-        "paths", "--T", "4", "--x", "40", "--n", "50", "--tilt-s", "0", "--tilt-theta1", "1", "--tilt-theta2", "1",
-        "--out", str(out),
+        "paths", "--T", "640", "--x", "2", "--n", "100", "--seed", "11", "--out", str(out),
     ])
     assert rc == 4
     assert json.loads(capsys.readouterr().err)["error"] == "statistical"
@@ -590,46 +577,6 @@ def test_rate_level_whose_rate_overflows_is_keyed(tmp_path, capsys):
     assert record["key"] == "x"
 
 
-@pytest.mark.parametrize("flag, value", [("tilt-s", "1"), ("tilt-theta1", "0"), ("tilt-theta2", "inf")])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--method", "is"],
-        ["paths", "--T", "4", "--x", "0.5", "--n", "10"],
-    ],
-    ids=["estimate", "paths"],
-)
-def test_bad_tilt_value_is_keyed_by_its_flag(tmp_path, capsys, argv, flag, value):
-    rc, text = _run(tmp_path, *argv, f"--{flag}", value)
-    assert rc == 2
-    assert text == ""
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config"
-    assert record["key"] == flag
-
-
-@pytest.mark.parametrize("key", ["tilt-s", "tilt-theta1", "tilt-theta2"])
-@pytest.mark.parametrize("source", ["flag", "file"])
-def test_naive_estimate_refuses_a_tilt(tmp_path, capsys, monkeypatch, key, source):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("a tilt given to the naive estimator must be refused before simulating")
-
-    monkeypatch.setattr("catpop.cli.estimate_tail_naive", no_simulation)
-    argv = ["estimate", "--T", "4", "--x", "0.5", "--n", "100"]
-    if source == "flag":
-        argv += [f"--{key}", "0.5"]
-    else:
-        config = tmp_path / "tilt.cfg"
-        config.write_text(f"{key} = 0.5\n")
-        argv += ["--config", str(config)]
-    rc, text = _run(tmp_path, *argv)
-    assert rc == 2
-    assert text == ""
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config"
-    assert record["key"] == key
-
-
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_config_is_keyed_by_option_names(tmp_path, capsys, command):
     # one name per option: flag, config-file key, error key and cfg key
@@ -651,7 +598,6 @@ def test_config_is_keyed_by_option_names(tmp_path, capsys, command):
 
 
 _SHARED = {"lambda", "mu", "alpha", "out", "format"}
-_TILT_KEYS = {"tilt-s", "tilt-theta1", "tilt-theta2"}
 
 
 @pytest.mark.parametrize(
@@ -660,10 +606,10 @@ _TILT_KEYS = {"tilt-s", "tilt-theta1", "tilt-theta2"}
         ("simulate", {"T", "method", "grid", "seed"}),
         ("exact", {"T", "M", "K", "x"}),
         ("rate", {"x", "grid"}),
-        ("estimate", {"T", "x", "n", "method", *_TILT_KEYS, "seed", "workers"}),
+        ("estimate", {"T", "x", "n", "method", "seed", "workers"}),
         ("lln", {"T-list", "eps", "n", "seed", "workers"}),
         ("sweep", {"T-list", "x", "n", "method", "seed", "workers"}),
-        ("paths", {"T", "x", "n", "grid", *_TILT_KEYS, "seed", "workers"}),
+        ("paths", {"T", "x", "n", "grid", "seed", "workers"}),
     ],
 )
 def test_each_command_takes_exactly_the_options_it_reads(command, keys):
@@ -770,15 +716,6 @@ def test_rate_grid_below_one_rejected(tmp_path, capsys, grid):
     assert record["key"] == "grid"
 
 
-@pytest.mark.parametrize("flag, value", [("--tilt-theta1", "nan"), ("--tilt-theta2", "inf")])
-def test_non_finite_tilt_multiplier_rejected(tmp_path, capsys, flag, value):
-    rc, _ = _run(tmp_path, "estimate", "--T", "4", "--x", "0.5", "--method", "is", flag, value)
-    assert rc == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config"
-    assert flag.removeprefix("--tilt-") in record["message"]
-
-
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -801,7 +738,7 @@ def test_error_record_is_one_json_line(tmp_path, capsys, argv, code):
         (["estimate", "--T", "4", "--x", "0.5", "--bogus", "1"], "bogus"),
         (["estimate", "--T"], "T"),
         ([], "command"),
-        (["estimate", "--T", "4", "--x", "0.5", "--tilt", "3"], "tilt"),
+        (["estimate", "--T", "4", "--x", "0.5", "--meth", "is"], "meth"),
         (["estimate", "--T", "4", "--x", "0.5", "--theta1", "5"], "theta1"),
     ],
     ids=["value-read-as-flag", "unknown-flag", "flag-without-value", "no-command", "prefix-of-flags",

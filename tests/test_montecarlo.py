@@ -307,6 +307,21 @@ def test_default_tilt_is_accurate_over_twenty_seeds():
         assert abs(result.p_hat - EXACT_TAIL_111_T4_X05) <= 0.02
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the default tilt reads about half the exact tail at T=160",
+)
+@pytest.mark.parametrize("x", [0.5, 2.0])
+def test_default_tilt_is_unbiased_at_the_headline_horizon(x):
+    # the median over 8 seeds reads 0.47 of the truth at x = 0.5 and 0.57 at x = 2
+    T = 160.0
+    exact, _ = exact_tail_probability(P111, T, x, 1000, 1000)
+    tilt = default_tilt(x, P111).at_horizon(P111, T)
+    ratios = [estimate_tail_is(P111, T, x, tilt, 10_000, derive_seed(777, k)).p_hat / exact for k in range(8)]
+    assert 0.9 <= float(np.median(ratios)) <= 1.1
+
+
 @given(T=st.sampled_from([4.0, 10.0, 25.0]), k=st.integers(1, 7),
        side=st.sampled_from([-math.inf, 0.0, math.inf]))
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -414,13 +429,14 @@ def test_block_bounds_are_multiples_of_the_block_size():
 
 
 def test_pool_never_larger_than_the_block_count(monkeypatch, fresh_pool):
-    sizes = []
+    sizes, chunks = [], []
 
     class InProcessPool:
         def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
-        def map(self, fn, args):
+        def map(self, fn, args, chunksize=1):
+            chunks.append((len(args), chunksize))
             return map(fn, args)
 
         def shutdown(self):
@@ -431,6 +447,9 @@ def test_pool_never_larger_than_the_block_count(monkeypatch, fresh_pool):
     for n in (BLOCK, BLOCK + 1, 2 * BLOCK + 3):
         sample_terminal_states(P111, 1.0, n, 83, workers=8)
     assert sizes == [2, 3]
+    # each worker takes one contiguous chunk of the blocks
+    sample_terminal_states(P111, 1.0, 5 * BLOCK, 83, workers=2)
+    assert chunks == [(2, 1), (3, 1), (5, 3)]
 
 
 def test_pool_workers_keep_their_heap_and_give_the_same_bytes(monkeypatch, fresh_pool):
