@@ -577,6 +577,65 @@ def test_rate_level_whose_rate_overflows_is_keyed(tmp_path, capsys):
     assert record["key"] == "x"
 
 
+@pytest.mark.parametrize("key", ["tilt-s", "tilt-theta1", "tilt-theta2"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (["estimate", "--T", "4", "--x", "0.5", "--n", "10", "--method", "is"], "estimate_tail_is"),
+        (["paths", "--T", "4", "--x", "0.5", "--n", "10"], "collect_weighted_paths"),
+    ],
+    ids=["estimate", "paths"],
+)
+def test_tilt_option_is_refused_before_sampling(tmp_path, capsys, monkeypatch, argv, kernel, source, key):
+    # the CLI samples under the default tilt only, so a tilt option is an unknown one, keyed by its name
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a tilt option must be refused before sampling")
+
+    monkeypatch.setattr(f"catpop.cli.{kernel}", no_simulation)
+    if source == "flag":
+        argv = [*argv, f"--{key}", "0.5"]
+    else:
+        config = tmp_path / "tilt.cfg"
+        config.write_text(f"{key} = 0.5\n")
+        argv = [*argv, "--config", str(config)]
+    rc, text = _run(tmp_path, *argv)
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert "unknown" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "paths"])
+def test_help_lists_no_tilt_option(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert "--x" in text
+    assert "tilt" not in text
+
+
+@pytest.mark.parametrize(
+    "field, key", [("switch_time_s", "x"), ("theta1", "x"), ("theta2", "x"), ("T", "T")]
+)
+def test_library_refusal_of_a_tilt_field_is_keyed_by_the_level(tmp_path, capsys, monkeypatch, field, key):
+    # only the default tilt, set from x, reaches the kernels; any other field names its own option
+    def refuse(*args, **kwargs):
+        raise cli.InputError(f"refused {field}", field)
+
+    monkeypatch.setattr("catpop.cli.estimate_tail_is", refuse)
+    rc, text = _run(tmp_path, "estimate", "--T", "4", "--x", "0.5", "--n", "10", "--method", "is")
+    assert rc == 2
+    assert text == ""
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == key
+    assert record["message"] == f"refused {field}"
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_config_is_keyed_by_option_names(tmp_path, capsys, command):
     # one name per option: flag, config-file key, error key and cfg key
