@@ -52,6 +52,7 @@ from .model import (
 )
 from .montecarlo import (
     collect_weighted_paths,
+    decay_rate,
     default_tilt,
     estimate_tail_is,
     estimate_tail_naive,
@@ -262,9 +263,7 @@ def _cmd_lln(cfg: dict, params: ModelParams):
 
 def _log_rate_values(result, T: float) -> tuple:
     lo_p, hi_p = result.ci95
-    lo = -math.log(hi_p) / T if hi_p > 0 else math.inf
-    hi = -math.log(lo_p) / T if lo_p > 0 else math.inf
-    return result.log_rate, lo, hi, result.p_hat, result.std_err, result.ess
+    return result.log_rate, decay_rate(hi_p, T), decay_rate(lo_p, T), result.p_hat, result.std_err, result.ess
 
 
 def _cmd_sweep(cfg: dict, params: ModelParams):

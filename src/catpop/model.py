@@ -26,23 +26,30 @@ last and largest states come out of that loop; the state after every event
 is one cumulative sum per row, built only for the rows a caller asks for.
 
 The loop takes each catastrophe's column among its row's sorted events.
-The jump chain sorts each row's clock times in place and reads the columns
-off its kinds.  The two-stream kernel finds them one of two ways, chosen
-per block from the expected counts.  On the merge path each stream's times
-become packed ``(time, kind)`` uint64 keys while they are still the vector
-of draws; the keys land in one matrix padded with the ``+inf`` birth key,
-and one in-place sort of each row orders them by value alone, a birth
-before a catastrophe at the same time.  A one-segment window (plain, or
-tilted from time 0) that expects at most kappa =
+The jump chain's marks are independent of its clock times, so they are
+drawn in time order, and each catastrophe's row and column come off the
+flat vector of marks.  The two-stream kernel finds them one of two ways,
+chosen per block from the expected counts.  On the merge path each
+stream's times become packed ``(time, kind)`` uint64 keys while they are
+still the vector of draws; the keys land in one matrix padded with the
+``+inf`` birth key, and one in-place sort of each row orders them by value
+alone, a birth before a catastrophe at the same time.  A one-segment window
+(plain, or tilted from time 0) that expects at most kappa =
 ``SPARSE_CATASTROPHES_PER_BIRTH`` = 0.2 catastrophes per birth takes the
 sparse path instead: it draws each row's catastrophe times, sorts those
 few, and draws the births in each gap between them as one Poisson count,
 so no birth time is drawn.  At T = 160 with 320 births per row, a block of
 1024 rows takes about 0.7 ms that way against 5-8 ms merged, and the two
-paths break even near 0.2-0.25 catastrophes per birth.  A sparse block
-draws its event times only when something reads them: uniform within their
-gaps, from the block's generator as it stood after the block's own draws,
-so they depend on the seed and the block alone.
+paths break even near 0.2-0.25 catastrophes per birth.
+
+Every block builds its event times on first read, so a run that reads only
+the terminal and largest states never places or sorts a time.  The jump
+chain keeps its clock draws and places and sorts them then; a merged block
+keeps its sorted keys and turns them into times in place; a sparse block
+draws its birth times then, uniform within their gaps, from its generator
+as it stood after the block's own draws.  The chain and the merge path
+make the generator calls of a block that built its times at once, in the
+same order, and every block's times depend on the seed and the block alone.
 
 :class:`TiltConfig` is the two-stream kernel's sampling measure and
 ``TiltConfig()`` the plain one; the kernel counts each row's births and
@@ -250,9 +257,11 @@ class _Block:
     among the row's sorted events and the state change of every catastrophe,
     from which :meth:`post_states` builds the states of the rows a caller
     asks for and ``kinds`` is built, 0 on the padding.  ``times`` (each
-    row's sorted event times, ``+inf`` past its ``counts`` events, from
-    ``events``), ``kinds`` and ``weights`` (each row's likelihood ratio, from
-    ``weigh``; the never-tilted jump chain has none) are built on first read.
+    row's sorted event times, ``+inf`` past its ``counts`` events),
+    ``kinds`` and ``weights`` (each row's likelihood ratio; the
+    never-tilted jump chain has none) are built on first read: ``events``
+    and ``weigh`` are called at most once, as a kernel's ``events`` may
+    build the times in its own buffers.
     """
 
     counts: np.ndarray
@@ -319,23 +328,24 @@ def _check_mean(mean: float, rows: int, field: str) -> float:
     return mean
 
 
-def _uniform_times(rng: np.random.Generator, size: int, start, length) -> np.ndarray:
-    """``size`` uniform event times on (start, start+length], as ``start + length*(1 - U)`` in place."""
-    u = rng.random(size)
+def _uniform_times(u: np.ndarray, start, length) -> np.ndarray:
+    """Draws ``u`` uniform on [0, 1) made event times on (start, start+length]: ``start + length*(1 - u)``, in place."""
     np.subtract(1.0, u, out=u)
     u *= length
     u += start
     return u
 
 
-def _padded_times(rng: np.random.Generator, counts: np.ndarray, start, length) -> np.ndarray:
-    """Uniform event times on (start, start+length], ``counts[r]`` of them left-aligned in row r.
+def _padded_times(u: np.ndarray, counts: np.ndarray, start, length) -> np.ndarray:
+    """Uniform event times on (start, start+length] from the draws ``u``, ``counts[r]`` of them left-aligned in row r.
 
-    ``start`` and ``length`` are numbers, or one value per event, row by row.
+    ``u`` holds ``counts.sum()`` uniform draws, row by row, and is
+    overwritten; ``start`` and ``length`` are numbers, or one value per
+    event, row by row.
     """
     live = np.arange(counts.max(initial=0)) < counts[:, None]
     times = np.full(live.shape, np.inf)
-    times[live] = _uniform_times(rng, int(counts.sum()), start, length)
+    times[live] = _uniform_times(u, start, length)
     return times
 
 
@@ -353,7 +363,7 @@ def _stream_keys(
     their bit patterns read as unsigned integers, and the sign bit is 0, so
     the shift loses nothing.
     """
-    keys = _uniform_times(rng, int(counts.sum()), start, length).view(np.uint64)
+    keys = _uniform_times(rng.random(int(counts.sum())), start, length).view(np.uint64)
     keys <<= 1
     keys |= int(kind)
     return keys
@@ -366,7 +376,8 @@ def _merge_keys(streams: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     the ``+inf`` birth key, and one in-place sort of each row gives an order
     fixed by the values alone: at equal times a birth (kind 0) comes before a
     catastrophe, and the padding comes last with kind 0.  Returns the merged
-    times and kinds, cut to the widest row, and each row's event count.
+    keys and kinds, cut to the widest row, and each row's event count; the
+    keys become times when read (:func:`_key_times`).
     """
     widths = [int(counts.max(initial=0)) for counts, _ in streams]
     keys = np.full((streams[0][0].size, sum(widths)), _PAD_KEY)
@@ -380,15 +391,21 @@ def _merge_keys(streams: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     # the cast keeps the low byte, so no full-width uint64 temporary is made
     kinds = keys.astype(np.uint8)
     kinds &= 1
-    keys >>= 1
-    return keys.view(np.float64), kinds, counts
+    return keys, kinds, counts
+
+
+def _key_times(keys: np.ndarray) -> np.ndarray:
+    """The times of merged keys, unpacked in place: the kind bit shifted out and the bits read as float64."""
+    np.right_shift(keys, 1, out=keys)
+    return keys.view(np.float64)
 
 
 def _land_ranked(column, per_row, counts, rng, land):
     """The catastrophe loop of every kernel: each row's last and largest states, and the jumps of its catastrophes.
 
     ``column`` lists every catastrophe's column among its row's sorted
-    events, row by row and each row in time order: read off the sorted kinds
+    events, row by row and each row in time order: its place among the
+    chain's marks (:func:`_subordinated_block`), read off the sorted kinds
     (:func:`_run_events`), or a sparse row's births before it plus its rank
     (:func:`_sparse_block`).  ``per_row`` holds each row's catastrophes and
     ``counts`` its events.  A birth, or any event of the empty population,
@@ -431,19 +448,20 @@ def _land_ranked(column, per_row, counts, rng, land):
     return terminal, sup, (row, column, after - before)
 
 
-def _run_events(times, kinds, counts, rng, land, weigh=None) -> _Block:
+def _run_events(kinds, counts, rng, land, events, weigh=None) -> _Block:
     """Step every row of a block through its sorted events, catastrophe by catastrophe (:func:`_land_ranked`).
 
     Rows come sorted from one in-place sort (:func:`_merge_keys` for the
-    two streams, births first on ties), with ``kinds`` 0 on the padding.
-    The block keeps the times alone; the rest it builds from its jumps.
+    two streams, births first on ties), with ``kinds`` 1 at a catastrophe
+    and 0 elsewhere, the padding included.  The block keeps ``events``, the
+    builder of its times, and builds its kinds from its jumps.
     """
-    rows, width = times.shape
+    rows, width = kinds.shape
     # the catastrophes' flat indices, row by row and each row in time order
     flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
     row = flat // width
     terminal, sup, jumps = _land_ranked(flat - row * width, np.bincount(row, minlength=rows), counts, rng, land)
-    return _Block(counts, terminal, sup, jumps, lambda: times, weigh)
+    return _Block(counts, terminal, sup, jumps, events, weigh)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -457,15 +475,28 @@ def _drop_by(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _subordinated_block(params: ModelParams, T: float, rng: np.random.Generator, rows: int) -> _Block:
-    """Jump chain run at Poisson clock times, for a block of ``rows`` replicas."""
+    """Jump chain run at Poisson clock times, for a block of ``rows`` replicas.
+
+    The clock times are drawn here and placed and sorted on first read
+    (:func:`_clock_times`).
+    """
     counts = rng.poisson(_check_mean(params.alpha * T, rows, "T"), size=rows)
-    times = _padded_times(rng, counts, 0.0, T)
-    times.sort(axis=1)
-    kinds = np.zeros(times.shape, dtype=np.uint8)
-    # the clock's marks are independent of its times, so they are drawn in time order
-    kinds[times < np.inf] = rng.random(int(counts.sum())) >= params.birth_prob
+    clock = rng.random(int(counts.sum()))
+    # the clock's marks are independent of its times, so they are drawn in time
+    # order, row by row: a catastrophe's place in a row's marks is its column
+    flat = (rng.random(clock.size) >= params.birth_prob).nonzero()[0]
+    row = np.repeat(np.arange(rows), counts)[flat]
+    column = flat - (counts.cumsum() - counts)[row]
     # the forced 0 -> 1 move keeps the event's label
-    return _run_events(times, kinds, counts, rng, _land_at)
+    terminal, sup, jumps = _land_ranked(column, np.bincount(row, minlength=rows), counts, rng, _land_at)
+    return _Block(counts, terminal, sup, jumps, partial(_clock_times, clock, counts, T))
+
+
+def _clock_times(clock: np.ndarray, counts: np.ndarray, T: float) -> np.ndarray:
+    """The chain's event times from its clock draws (overwritten): ``counts[r]`` in row r, each row sorted."""
+    times = _padded_times(clock, counts, 0.0, T)
+    times.sort(axis=1)
+    return times
 
 
 # kappa: a two-stream block counts its births by gaps (:func:`_sparse_block`)
@@ -514,8 +545,8 @@ def _merged_block(segments, rng: np.random.Generator, rows: int, weight) -> _Blo
         nc = rng.poisson(rc * span, size=rows)
         streams.append((nb, _stream_keys(rng, nb, begin, span, EventKind.BIRTH)))
         streams.append((nc, _stream_keys(rng, nc, begin, span, EventKind.CATASTROPHE)))
-    times, kinds, counts = _merge_keys(streams)
-    return _run_events(times, kinds, counts, rng, _drop_by, partial(weight, nb, nc))
+    keys, kinds, counts = _merge_keys(streams)
+    return _run_events(kinds, counts, rng, _drop_by, partial(_key_times, keys), partial(weight, nb, nc))
 
 
 def _gap_counts(rng: np.random.Generator, rows: int, begin: float, span: float, rb: float, rc: float):
@@ -529,7 +560,7 @@ def _gap_counts(rng: np.random.Generator, rows: int, begin: float, span: float, 
     ending at catastrophe j and the gaps past a row's last one empty.
     """
     nc = rng.poisson(rc * span, size=rows)
-    cats = _padded_times(rng, nc, begin, span)
+    cats = _padded_times(rng.random(int(nc.sum())), nc, begin, span)
     cats.sort(axis=1)
     end = begin + span
     edges = np.concatenate((np.full((rows, 1), begin), np.minimum(cats, end), np.full((rows, 1), end)), axis=1)
@@ -566,7 +597,8 @@ def _sparse_events(bit_generator, state, counts, cats, edges, born) -> np.ndarra
     bits.state = state
     per_gap = born.ravel()
     starts, lengths = np.repeat(edges[:, :-1], per_gap), np.repeat(np.diff(edges, axis=1), per_gap)
-    times = np.concatenate((_padded_times(np.random.Generator(bits), born.sum(axis=1), starts, lengths), cats), axis=1)
+    births = _padded_times(np.random.Generator(bits).random(int(per_gap.sum())), born.sum(axis=1), starts, lengths)
+    times = np.concatenate((births, cats), axis=1)
     times.sort(axis=1)
     return times[:, :counts.max(initial=0)]
 

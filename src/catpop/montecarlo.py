@@ -88,6 +88,11 @@ class EstimateResult:
     ess_warning: bool = False
 
 
+def decay_rate(p: float, T: float) -> float:
+    """-ln(p)/T, the decay exponent of a probability p over horizon T: +0.0 at p = 1 (not -0.0), +inf at p = 0."""
+    return 0.0 - math.log(p) / T if p > 0 else math.inf
+
+
 def default_tilt(x: float, params: ModelParams) -> TiltConfig:
     """Tilt that drives the process along :func:`model.optimal_path` to level x.
 
@@ -296,10 +301,9 @@ def _fold_estimate(sums, T, n, seed, tilt: TiltConfig | None = None) -> Estimate
         ci = (p_hat - _Z95 * std_err, p_hat + _Z95 * std_err)
     else:
         ci = _wilson_interval(p_hat, n)
-    log_rate = -math.log(p_hat) / T if p_hat > 0 else math.inf
     return EstimateResult(
         p_hat=p_hat,
-        log_rate=log_rate,
+        log_rate=decay_rate(p_hat, T),
         std_err=std_err,
         ci95=ci,
         n=n,

@@ -168,6 +168,21 @@ def test_estimate_zero_level_is_certain(tmp_path):
         assert json.loads(text)["p_hat"] == 1.0
 
 
+def test_a_certain_level_decays_at_plus_zero(tmp_path):
+    # p = 1 gives -ln(1)/T = +0.0 in the estimate and in a sweep's rate bounds, never -0.0
+    for method in ("naive", "is"):
+        rc, text = _run(tmp_path, "estimate", "--T", "4", "--x", "0", "--n", "500", "--method", method)
+        assert rc == 0
+        assert '"log_rate": 0.0,' in text
+    rc, text = _run(tmp_path, "sweep", "--T-list", "4", "--x", "0", "--n", "50", "--method", "naive")
+    assert rc == 0
+    header, row = text.splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["p_hat"]) == 1.0 and float(values["log_rate_lo"]) == 0.0
+    for key in ("log_rate", "log_rate_lo", "log_rate_hi"):
+        assert math.copysign(1.0, float(values[key])) == 1.0, values
+
+
 def test_byte_determinism_and_worker_invariance(tmp_path):
     # x = 0.5 runs merged two-stream blocks, x = 2 sparse ones
     for x in ("0.5", "2"):
@@ -987,9 +1002,9 @@ def test_every_json_output_reparses_to_equal_value(tmp_path, argv):
     # shortest round-trip floats read back bit for bit, whole and signed zero ones as floats
     assert json.dumps(doc, indent=2) + "\n" == text
     if argv[:5] == ["estimate", "--T", "4", "--x", "0"]:
-        # every replica reaches x = 0, so log_rate = -ln(1)/T = -0.0
+        # every replica reaches x = 0, so log_rate = -ln(1)/T, written +0.0 and not -0.0
         assert type(doc["T"]) is float
-        assert math.copysign(1.0, doc["log_rate"]) == -1.0 and doc["log_rate"] == 0.0
+        assert math.copysign(1.0, doc["log_rate"]) == 1.0 and doc["log_rate"] == 0.0
 
 
 def test_console_entry_point_runs():

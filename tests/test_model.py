@@ -1,3 +1,4 @@
+from functools import partial
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from catpop.model import (
     _drop_by,
     _gap_counts,
     _grid_states,
+    _key_times,
     _land_at,
     _merge_keys,
     _padded_times,
@@ -32,7 +34,13 @@ from catpop.model import (
     _stream_keys,
     _subordinated_block,
 )
-from catpop.montecarlo import default_tilt, likelihood_ratio
+from catpop.montecarlo import (
+    default_tilt,
+    estimate_tail_is,
+    estimate_tail_naive,
+    likelihood_ratio,
+    sample_terminal_states,
+)
 from catpop.streams import BLOCK, replica_rng
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -82,12 +90,17 @@ def test_simspec_validation():
         SimSpec(horizon_T=1.0, seed=1, replica_index=-1)
 
 
+def _run_rows(times, kinds, counts, rng, land):
+    # the catastrophe loop over given sorted rows, the block keeping their times
+    return _run_events(kinds, counts, rng, land, lambda: times)
+
+
 def _landing_frequencies(state, rng, land, n=60_000):
     # one block of n replicas: `state` births, then one catastrophe each
     kinds = np.zeros((n, state + 1), dtype=np.uint8)
     kinds[:, -1] = EventKind.CATASTROPHE
     times = np.broadcast_to(np.arange(1.0, state + 2), kinds.shape)
-    block = _run_events(times, kinds, np.full(n, state + 1), rng, land)
+    block = _run_rows(times, kinds, np.full(n, state + 1), rng, land)
     return np.bincount(block.terminal, minlength=state) / n
 
 
@@ -399,7 +412,10 @@ def _times_of(streams):
 
 
 def _assert_merge_matches_argsort(times, first_catastrophe_column):
-    got = _merge_keys(_streams_of(times, first_catastrophe_column))
+    keys, kinds, counts = _merge_keys(_streams_of(times, first_catastrophe_column))
+    got = (_key_times(keys), kinds, counts)
+    # the keys become times in place: no second matrix
+    assert got[0].__array_interface__["data"] == keys.__array_interface__["data"]
     expected = _argsort_merge(times.copy(), first_catastrophe_column)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
@@ -433,7 +449,7 @@ def test_stream_keys_pack_the_drawn_times(kind):
     counts = replica_rng(3, 0).poisson(5.0, size=BLOCK)
     rng_keys, rng_times = replica_rng(3, 1), replica_rng(3, 1)
     keys = _stream_keys(rng_keys, counts, 80.0, 80.0, kind)
-    times = _padded_times(rng_times, counts, 80.0, 80.0)
+    times = _padded_times(rng_times.random(int(counts.sum())), counts, 80.0, 80.0)
     assert np.array_equal(keys >> 1, times[times < np.inf].view(np.uint64))
     assert np.all(keys & 1 == kind)
     assert rng_keys.random() == rng_times.random()
@@ -472,7 +488,8 @@ def test_merge_orders_zero_and_subnormal_times():
     # the keys must still be the order of the values
     rng = np.random.default_rng(5)
     nb, nc = rng.poisson(6.0, size=200), rng.poisson(6.0, size=200)
-    births, cats = _padded_times(rng, nb, 0.0, 1e-310), _padded_times(rng, nc, 0.0, 1e-310)
+    births = _padded_times(rng.random(int(nb.sum())), nb, 0.0, 1e-310)
+    cats = _padded_times(rng.random(int(nc.sum())), nc, 0.0, 1e-310)
     births[::7, 0] = 0.0
     cats[::5, 0] = 0.0
     cats[::3, -1] = np.nextafter(0.0, 1.0)
@@ -518,7 +535,7 @@ class _HalfwayRng:
 
 def _assert_kernel_matches_column_loop(times, kinds, counts, land):
     rng = _HalfwayRng()
-    block = _run_events(times, kinds, counts, rng, land)
+    block = _run_rows(times, kinds, counts, rng, land)
     terminal, sup, post = _column_loop(times, kinds, counts, _HalfwayRng(), land)
     assert np.array_equal(block.terminal, terminal)
     assert np.array_equal(block.sup, sup)
@@ -528,18 +545,46 @@ def _assert_kernel_matches_column_loop(times, kinds, counts, land):
     return block
 
 
-def _kernel_inputs(monkeypatch, make_block):
+def _eager_chain(params, T, rng, rows):
+    # reference: the jump chain as it built its rows at once, with the same generator calls
+    # in the same order: the clock draws placed in +inf-padded rows (the old _padded_times)
+    # and each row sorted, then the marks drawn in time order
+    counts = rng.poisson(params.alpha * T, size=rows)
+    u = rng.random(int(counts.sum()))
+    np.subtract(1.0, u, out=u)
+    u *= T
+    u += 0.0
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    times = np.full(live.shape, np.inf)
+    times[live] = u
+    times.sort(axis=1)
+    kinds = np.zeros(times.shape, dtype=np.uint8)
+    kinds[times < np.inf] = rng.random(int(counts.sum())) >= params.birth_prob
+    return times, kinds, counts
+
+
+def _kernel_inputs(monkeypatch, kernel, args, twin):
+    """``kernel(*args)`` and its sorted rows built at once from the same draws: times, kinds, counts and landing.
+
+    ``twin`` is a generator in the state of the one in ``args``: the jump
+    chain's rows are drawn from it in the old eager order, while a merged
+    block's are unpacked from a copy of its sorted keys before it lands a
+    catastrophe.
+    """
+    if kernel is _subordinated_block:
+        return kernel(*args), (*_eager_chain(*args[:2], twin, args[3]), _land_at)
     seen = []
 
-    def spy(times, kinds, counts, rng, land, weigh=None):
-        seen.append((times, kinds, counts, land))
-        return _run_events(times, kinds, counts, rng, land, weigh)
+    def spy(streams):
+        keys, kinds, counts = _merge_keys(streams)
+        seen.append(((keys >> 1).view(np.float64), (keys & 1).astype(np.uint8), counts, _drop_by))
+        return keys, kinds, counts
 
-    monkeypatch.setattr("catpop.model._run_events", spy)
-    make_block()
+    monkeypatch.setattr("catpop.model._merge_keys", spy)
+    block = kernel(*args)
     monkeypatch.undo()
     (inputs,) = seen
-    return inputs
+    return block, inputs
 
 
 @pytest.mark.parametrize("T", [4.0, 160.0])
@@ -550,22 +595,20 @@ def _kernel_inputs(monkeypatch, make_block):
 )
 def test_block_kinds_from_its_jumps_are_the_kinds_the_kernel_sorted(monkeypatch, T, kernel, tilt):
     args = (P111, T, replica_rng(7, 0), BLOCK) + (() if tilt is None else (tilt.at_horizon(P111, T),))
-    blocks = []
-    _, kinds, _, _ = _kernel_inputs(monkeypatch, lambda: blocks.append(kernel(*args)))
-    (block,) = blocks
+    block, (_, kinds, _, _) = _kernel_inputs(monkeypatch, kernel, args, replica_rng(7, 0))
     assert block.kinds.dtype == kinds.dtype and block.kinds.shape == kinds.shape
     assert block.kinds.tobytes() == kinds.tobytes()
     assert np.any(kinds == EventKind.CATASTROPHE)
 
 
-class _HalfwayLandings:
-    """A generator whose landing draws are :class:`_HalfwayRng`'s and every other draw ``rng``'s."""
+class _Landings:
+    """A generator whose landing draws (``integers``) come from ``landings`` and every other draw from ``rng``."""
 
-    def __init__(self, rng):
-        self.rng, self.halfway = rng, _HalfwayRng()
+    def __init__(self, rng, landings):
+        self.rng, self.landings = rng, landings
 
     def integers(self, low, high):
-        return self.halfway.integers(low, high)
+        return self.landings.integers(low, high)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -578,23 +621,23 @@ class _HalfwayLandings:
     ids=["subordinated", "identity", "default-x0.5", "default-x2"],
 )
 def test_catastrophe_loop_matches_the_column_loop_on_blocks(monkeypatch, T, kernel, x):
-    args = (P111, T, replica_rng(11, 0), BLOCK)
+    # the block's own loop, landing as the reference does, gives the column loop's states
+    rng = _Landings(replica_rng(11, 0), _HalfwayRng())
+    args = (P111, T, rng, BLOCK)
     if x is not None:
         args += (default_tilt(x, P111).at_horizon(P111, T),)
     if x == 2.0:
         # a sparse block counts its births by gaps and builds its events on read: the
-        # column loop runs on those events, and the block's own loop, landing as the
-        # reference does, gives the column loop's states
-        rng = _HalfwayLandings(args[2])
-        sparse = kernel(*args[:2], rng, *args[3:])
-        times, kinds, counts, land = sparse.times, sparse.kinds, sparse.counts, _drop_by
-        terminal, sup, post = _column_loop(times, kinds, counts, _HalfwayRng(), land)
-        assert np.array_equal(sparse.terminal, terminal)
-        assert np.array_equal(sparse.sup, sup)
-        assert np.array_equal(sparse.post_states(np.arange(counts.size)), post)
-        assert rng.halfway.calls == np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max(initial=0)
+        # column loop runs on those events
+        block = kernel(*args)
+        times, kinds, counts, land = block.times, block.kinds, block.counts, _drop_by
     else:
-        times, kinds, counts, land = _kernel_inputs(monkeypatch, lambda: kernel(*args))
+        block, (times, kinds, counts, land) = _kernel_inputs(monkeypatch, kernel, args, replica_rng(11, 0))
+    terminal, sup, post = _column_loop(times, kinds, counts, _HalfwayRng(), land)
+    assert np.array_equal(block.terminal, terminal)
+    assert np.array_equal(block.sup, sup)
+    assert np.array_equal(block.post_states(np.arange(counts.size)), post)
+    assert rng.landings.calls == np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max(initial=0)
     block = _assert_kernel_matches_column_loop(times, kinds, counts, land)
     assert block.times.shape[1] > np.count_nonzero(kinds == EventKind.CATASTROPHE, axis=1).max()
 
@@ -641,7 +684,7 @@ def test_post_states_of_a_row_subset_are_those_rows_of_the_full_matrix(kernel):
 
 def test_catastrophe_at_state_zero_moves_to_one_without_a_draw():
     rng = _HalfwayRng()
-    block = _run_events(*_rows_of("CC", "C"), rng, _land_at)
+    block = _run_rows(*_rows_of("CC", "C"), rng, _land_at)
     assert np.array_equal(block.post_states(np.arange(2)), [[1, 0], [1, 1]])
     assert np.array_equal(block.sup, [1, 1]) and np.array_equal(block.terminal, [0, 1])
     assert rng.draws == 1  # for the second catastrophe of row 0 only
@@ -652,12 +695,90 @@ def test_catastrophe_at_state_zero_moves_to_one_without_a_draw():
 def test_one_row_block_draws_in_time_order(monkeypatch, kernel, T):
     # with one row the rank order is the time order, so the real draws are the column loop's
     for replica in range(20):
-        times, kinds, counts, land = _kernel_inputs(monkeypatch, lambda: kernel(P111, T, replica_rng(13, replica), 1))
-        block = _run_events(times, kinds, counts, replica_rng(17, replica), land)
+        rng = _Landings(replica_rng(13, replica), replica_rng(17, replica))
+        block, (times, kinds, counts, land) = _kernel_inputs(
+            monkeypatch, kernel, (P111, T, rng, 1), replica_rng(13, replica))
         terminal, sup, post = _column_loop(times, kinds, counts, replica_rng(17, replica), land)
         assert block.terminal.tobytes() == terminal.tobytes()
         assert block.sup.tobytes() == sup.tobytes()
         assert block.post_states(np.arange(1)).tobytes() == post.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK])
+@pytest.mark.parametrize("T", [4.0, 40.0, 160.0])
+@pytest.mark.parametrize("kernel", [_subordinated_block, _decomposed_block], ids=["subordinated", "merged"])
+def test_times_built_on_first_read_are_the_times_built_at_once(monkeypatch, kernel, T, rows):
+    # deferring the times changes no byte: they are the eager build's from the same draws,
+    # and reading them first or last moves nothing else
+    unread, (times, kinds, counts, _) = _kernel_inputs(
+        monkeypatch, kernel, (P111, T, replica_rng(23, 0), rows), replica_rng(23, 0))
+    weights = unread.weights  # read before the block's times are
+    read = kernel(P111, T, replica_rng(23, 0), rows)
+    first = read.times
+    assert read.times is first
+    assert first.dtype == times.dtype and first.shape == times.shape
+    assert first.tobytes() == times.tobytes()
+    assert (weights is None) == (read.weights is None) == (kernel is _subordinated_block)
+    if weights is not None:
+        assert read.weights.tobytes() == weights.tobytes()
+    for name in ("counts", "terminal", "sup"):
+        assert getattr(read, name).tobytes() == getattr(unread, name).tobytes()
+    assert read.counts.tobytes() == counts.tobytes()
+    for a, b in zip(read.jumps, unread.jumps, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert read.kinds.tobytes() == unread.kinds.tobytes() == kinds.tobytes()
+    assert unread.times.tobytes() == times.tobytes()
+
+
+# the builders of a block's times, each run only on a block's first read of its times
+_TIME_BUILDERS = ("_clock_times", "_key_times", "_sparse_events")
+
+
+def _builder_calls(monkeypatch, run):
+    # the calls run() makes to each builder of times, and to the sorted-kinds loop
+    calls = dict.fromkeys((*_TIME_BUILDERS, "_run_events"), 0)
+
+    def spy(name):
+        real = getattr(model, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(f"catpop.model.{name}", spy(name))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("T", [4.0, 160.0])
+@pytest.mark.parametrize("construction", ["subordinated", "decomposed"])
+def test_terminal_states_are_sampled_without_building_a_time(monkeypatch, construction, T):
+    calls = _builder_calls(monkeypatch, lambda: sample_terminal_states(P111, T, 2 * BLOCK, 3, construction))
+    assert [calls[name] for name in _TIME_BUILDERS] == [0, 0, 0]
+    # the chain lands its catastrophes straight off its marks; each merged block steps through its sorted kinds
+    assert calls["_run_events"] == (0 if construction == "subordinated" else 2)
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0], ids=["merged", "sparse"])
+def test_estimators_never_build_a_time(monkeypatch, x):
+    T = 160.0
+    for run in (partial(estimate_tail_naive, P111, T, x, 2 * BLOCK, 5),
+                partial(estimate_tail_is, P111, T, x, default_tilt(x, P111), 2 * BLOCK, 5)):
+        assert [_builder_calls(monkeypatch, run)[name] for name in _TIME_BUILDERS] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("simulate, params, builder", [
+    (simulate_subordinated, P111, "_clock_times"),
+    (simulate_decomposed, P111, "_key_times"),
+    (simulate_decomposed, P20_1, "_sparse_events"),
+])
+def test_a_simulated_path_builds_its_times_once(monkeypatch, simulate, params, builder):
+    calls = _builder_calls(monkeypatch, lambda: simulate(params, SimSpec(40.0, 5)))
+    assert [calls[name] for name in _TIME_BUILDERS] == [name == builder for name in _TIME_BUILDERS]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -757,7 +878,7 @@ def test_scale_path_terminal_consistency():
 
 def test_terminal_and_sup_values():
     # an empty row stays at 0; birth, birth, then a catastrophe from 2 landing on 2 // 2 = 1
-    block = _run_events(*_rows_of("", "BBC"), _HalfwayRng(), _land_at)
+    block = _run_rows(*_rows_of("", "BBC"), _HalfwayRng(), _land_at)
     assert block.terminal.tolist() == [0, 1]
     assert block.sup.tolist() == [0, 2]
 

@@ -32,6 +32,7 @@ from catpop.montecarlo import (
     EstimateResult,
     TiltConfig,
     collect_weighted_paths,
+    decay_rate,
     default_tilt,
     estimate_tail_is,
     estimate_tail_naive,
@@ -271,10 +272,19 @@ def test_collected_paths_are_scaled_paths_of_their_replicas():
     np.testing.assert_allclose(samples.row_sum, row_sum, rtol=1e-12, atol=0)
 
 
+def test_decay_rate_of_a_certain_event_is_plus_zero():
+    for T in (4.0, 160.0, 1e-300):
+        assert math.copysign(1.0, decay_rate(1.0, T)) == 1.0 and decay_rate(1.0, T) == 0.0
+        assert decay_rate(0.0, T) == math.inf
+    # elsewhere the sign is the one of -ln(p)/T, bit for bit: an IS estimate may exceed 1
+    for p, T in ((math.exp(-8.0), 4.0), (1e-24, 160.0), (2.0, 1.0), (np.nextafter(1.0, 0.0), 4.0)):
+        assert decay_rate(p, T) == -math.log(p) / T
+
+
 def test_naive_estimate_at_zero_level():
     result = estimate_tail_naive(P111, 4.0, 0.0, 500, 7)
     assert result.p_hat == 1.0
-    assert result.log_rate == 0.0
+    assert result.log_rate == 0.0 and math.copysign(1.0, result.log_rate) == 1.0
     assert result.ess == 500.0
 
 
