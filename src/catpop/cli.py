@@ -220,9 +220,13 @@ def _cmd_exact(cfg: dict, params: ModelParams):
 
 def _cmd_rate(cfg: dict, params: ModelParams):
     x_max = cfg["x"] if cfg["x"] is not None else 3.0 * params.alpha
-    # the rate increases with x, so a finite rate at x_max bounds the whole grid
-    if not (math.isfinite(x_max * cfg["grid"]) and x_max > 0 and math.isfinite(terminal_rate(x_max, params))):
-        raise InputError(f"x must be > 0 with finite x*grid and rate, got x={x_max}, grid={cfg['grid']}", "x")
+    # the rate increases with x, so a finite rate at x_max bounds the whole grid; the first point,
+    # computed as the loop computes it, is > 0 unless x is not or it underflows
+    first = x_max * 1 / cfg["grid"]
+    if not (math.isfinite(x_max * cfg["grid"]) and first > 0 and math.isfinite(terminal_rate(x_max, params))):
+        raise InputError(
+            f"x must be > 0 with finite x*grid and rate and x*1/grid > 0, got x={x_max}, grid={cfg['grid']}", "x"
+        )
     rows = []
     for i in range(1, cfg["grid"] + 1):
         x = x_max * i / cfg["grid"]

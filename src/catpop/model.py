@@ -25,21 +25,25 @@ adds the births since the row's previous one, and draws the landings in
 last and largest states come out of that loop; the state after every event
 is one cumulative sum per row, built only for the rows a caller asks for.
 
-The loop takes each catastrophe's column among its row's sorted events.
-The jump chain's marks are independent of its clock times, so they are
-drawn in time order, and each catastrophe's row and column come off the
-flat vector of marks.  The two-stream kernel finds them one of two ways,
-chosen per block from the expected counts.  On the merge path each
-stream's times become packed ``(time, kind)`` uint64 keys while they are
-still the vector of draws; the keys land in one matrix padded with the
-``+inf`` birth key, and one in-place sort of each row orders them by value
-alone, a birth before a catastrophe at the same time.  A one-segment window
+The loop takes each catastrophe's column among its row's sorted events, and
+each of three block kernels finds those columns itself before it calls the
+loop and builds its block.  The jump chain's marks are independent of its
+clock times, so they are drawn in time order, and each catastrophe's row and
+column come off the flat vector of marks (:func:`_subordinated_block`).  The
+two-stream kernel finds them one of two ways, chosen per block from the
+expected counts.  On the merge path (:func:`_merged_block`) each stream's
+times become packed ``(time, kind)`` uint64 keys while they are still the
+vector of draws; the keys land in one matrix padded with the ``+inf`` birth
+key, one in-place sort of each row orders them by value alone, a birth
+before a catastrophe at the same time, and each catastrophe's row and column
+come off its flat index among the sorted kinds.  A one-segment window
 (plain, or tilted from time 0) that expects at most kappa =
 ``SPARSE_CATASTROPHES_PER_BIRTH`` = 0.2 catastrophes per birth takes the
-sparse path instead: it draws each row's catastrophe times, sorts those
-few, and draws the births in each gap between them as one Poisson count,
-so no birth time is drawn.  At T = 160 with 320 births per row, a block of
-1024 rows takes about 0.7 ms that way against 5-8 ms merged, and the two
+sparse path (:func:`_sparse_block`) instead: it draws each row's catastrophe
+times, sorts those few, and draws the births in each gap between them as one
+Poisson count, so no birth time is drawn, and a catastrophe's column is the
+births before it plus its rank.  At T = 160 with 320 births per row, a block
+of 1024 rows takes about 0.7 ms that way against 5-8 ms merged, and the two
 paths break even near 0.2-0.25 catastrophes per birth.
 
 Every block builds its event times on first read, so a run that reads only
@@ -404,10 +408,10 @@ def _land_ranked(column, per_row, counts, rng, land):
     """The catastrophe loop of every kernel: each row's last and largest states, and the jumps of its catastrophes.
 
     ``column`` lists every catastrophe's column among its row's sorted
-    events, row by row and each row in time order: its place among the
-    chain's marks (:func:`_subordinated_block`), read off the sorted kinds
-    (:func:`_run_events`), or a sparse row's births before it plus its rank
-    (:func:`_sparse_block`).  ``per_row`` holds each row's catastrophes and
+    events, row by row and each row in time order, as each kernel finds it:
+    its place among the chain's marks (:func:`_subordinated_block`), its
+    flat index among the merged sorted kinds (:func:`_merged_block`), or a
+    sparse row's births before it plus its rank (:func:`_sparse_block`).  ``per_row`` holds each row's catastrophes and
     ``counts`` its events.  A birth, or any event of the empty population,
     adds one; a catastrophe at level m draws u uniform on {0, ..., m-1}
     (``Generator.integers`` with an array bound, unbiased per element) and
@@ -446,22 +450,6 @@ def _land_ranked(column, per_row, counts, rng, land):
     sup = terminal.copy()
     np.maximum.at(sup, row, before)
     return terminal, sup, (row, column, after - before)
-
-
-def _run_events(kinds, counts, rng, land, events, weigh=None) -> _Block:
-    """Step every row of a block through its sorted events, catastrophe by catastrophe (:func:`_land_ranked`).
-
-    Rows come sorted from one in-place sort (:func:`_merge_keys` for the
-    two streams, births first on ties), with ``kinds`` 1 at a catastrophe
-    and 0 elsewhere, the padding included.  The block keeps ``events``, the
-    builder of its times, and builds its kinds from its jumps.
-    """
-    rows, width = kinds.shape
-    # the catastrophes' flat indices, row by row and each row in time order
-    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
-    row = flat // width
-    terminal, sup, jumps = _land_ranked(flat - row * width, np.bincount(row, minlength=rows), counts, rng, land)
-    return _Block(counts, terminal, sup, jumps, events, weigh)
 
 
 def _land_at(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -546,37 +534,34 @@ def _merged_block(segments, rng: np.random.Generator, rows: int, weight) -> _Blo
         streams.append((nb, _stream_keys(rng, nb, begin, span, EventKind.BIRTH)))
         streams.append((nc, _stream_keys(rng, nc, begin, span, EventKind.CATASTROPHE)))
     keys, kinds, counts = _merge_keys(streams)
-    return _run_events(kinds, counts, rng, _drop_by, partial(_key_times, keys), partial(weight, nb, nc))
+    width = kinds.shape[1]
+    # the catastrophes' flat indices, row by row and each row in time order
+    flat = (kinds == EventKind.CATASTROPHE.value).ravel().nonzero()[0]
+    row = flat // width
+    terminal, sup, jumps = _land_ranked(flat - row * width, np.bincount(row, minlength=rows), counts, rng, _drop_by)
+    return _Block(counts, terminal, sup, jumps, partial(_key_times, keys), partial(weight, nb, nc))
 
 
-def _gap_counts(rng: np.random.Generator, rows: int, begin: float, span: float, rb: float, rc: float):
-    """The one segment of a sparse block: each row's catastrophe times and its births in the gaps between them.
+def _sparse_block(segment, rng: np.random.Generator, rows: int, weight) -> _Block:
+    """A one-segment window's catastrophes drawn first and the births between them counted.
 
     Row r draws Poisson(rc*span) catastrophe times uniform on (begin,
-    begin+span], sorted and padded with ``+inf``; they cut the segment into
-    gaps, and the births in each gap are one Poisson(rb * gap length) count.
-    Returns the catastrophe counts and times, the gap edges (the segment's
-    ends around the times, the padding at the end) and the gap counts, gap j
-    ending at catastrophe j and the gaps past a row's last one empty.
+    begin+span], sorted and padded with ``+inf``; with the segment's ends
+    around them (the padding at the end) they are the edges of its gaps,
+    and the births in each gap are one Poisson(rb * gap length) count, gap j
+    ending at catastrophe j and the gaps past a row's last one empty.  A
+    row's state sequence and weight come out of the counts alone: its
+    catastrophe j follows the births of gaps 0, ..., j and j catastrophes.
+    The event times are built on first read (:func:`_sparse_events`), from
+    the generator as it stands after the block's own draws.
     """
+    begin, span, rb, rc = segment
     nc = rng.poisson(rc * span, size=rows)
     cats = _padded_times(rng.random(int(nc.sum())), nc, begin, span)
     cats.sort(axis=1)
     end = begin + span
     edges = np.concatenate((np.full((rows, 1), begin), np.minimum(cats, end), np.full((rows, 1), end)), axis=1)
     born = rng.poisson(rb * np.diff(edges, axis=1))
-    return nc, cats, edges, born
-
-
-def _sparse_block(segment, rng: np.random.Generator, rows: int, weight) -> _Block:
-    """A one-segment window's catastrophes drawn first and the births between them counted (:func:`_gap_counts`).
-
-    A row's state sequence and weight come out of the counts alone: its
-    catastrophe j follows the births of gaps 0, ..., j and j catastrophes.
-    The event times are built on first read (:func:`_sparse_events`), from
-    the generator as it stands after the block's own draws.
-    """
-    nc, cats, edges, born = _gap_counts(rng, rows, *segment)
     nb = born.sum(axis=1)
     counts = nb + nc
     column = born[:, :-1].cumsum(axis=1) + np.arange(cats.shape[1])

@@ -592,6 +592,26 @@ def test_rate_level_whose_rate_overflows_is_keyed(tmp_path, capsys):
     assert record["key"] == "x"
 
 
+@pytest.mark.parametrize("x", ["1e-320", "5e-324"])
+def test_rate_level_whose_first_grid_point_underflows_is_keyed(tmp_path, capsys, x):
+    # x itself is > 0; its first grid point x*1/grid underflows to 0
+    rc, text = _run(tmp_path, "rate", f"--x={x}", "--grid", "10000")
+    assert rc == 2
+    assert not (tmp_path / "out.txt").exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["key"] == "x"
+
+
+def test_rate_level_whose_first_grid_point_is_subnormal_runs(tmp_path):
+    # 1e-319 / 10000 is about 1e-323, subnormal but > 0
+    rc, text = _run(tmp_path, "rate", "--x=1e-319", "--grid", "10000")
+    assert rc == 0
+    lines = text.splitlines()
+    assert len(lines) == 10001
+    assert float(lines[1].split(",")[0]) == 1e-319 * 1 / 10000 > 0
+
+
 @pytest.mark.parametrize("key", ["tilt-s", "tilt-theta1", "tilt-theta2"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize(

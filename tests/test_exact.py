@@ -183,6 +183,16 @@ def test_tail_level_is_the_float_comparison():
         tail_level(0.5, 0.0)
 
 
+def test_tail_level_doubles_its_bracket_where_x_times_T_rounds_down():
+    # past 2^53 the rounded x*T can sit below the level by more than one, so ceil(x*T) + 1 does not bracket it
+    assert tail_level(6004799503160670.0, 3.0) == 18014398509482011
+    for x, T in [(6004799503160670.0, 3.0), (3002399751580331.0, 3.0), (2573485501354574.0, 7.0),
+                 (1.8014398509481997e17, 0.1), (112589990684262.48, 160.0), (1.8014398509482013e19, 0.001)]:
+        assert x * T >= 2.0**53 and (math.ceil(x * T) + 1) / T < x
+        k = tail_level(x, T)
+        assert k / T >= x > (k - 1) / T
+
+
 def test_tail_monotone_in_x():
     values = [
         exact_tail_probability(P111, 4.0, x, 64, 60)[0]

@@ -22,15 +22,16 @@ from catpop.model import (
     simulate_decomposed,
     simulate_subordinated,
     _check_mean,
+    _Block,
     _decomposed_block,
     _drop_by,
-    _gap_counts,
     _grid_states,
     _key_times,
     _land_at,
+    _land_ranked,
     _merge_keys,
     _padded_times,
-    _run_events,
+    _sparse_block,
     _stream_keys,
     _subordinated_block,
 )
@@ -91,8 +92,11 @@ def test_simspec_validation():
 
 
 def _run_rows(times, kinds, counts, rng, land):
-    # the catastrophe loop over given sorted rows, the block keeping their times
-    return _run_events(kinds, counts, rng, land, lambda: times)
+    # the catastrophe loop over given sorted rows, each catastrophe's column read off the kinds,
+    # the block keeping their times
+    row, column = (kinds == EventKind.CATASTROPHE).nonzero()
+    terminal, sup, jumps = _land_ranked(column, np.bincount(row, minlength=counts.size), counts, rng, land)
+    return _Block(counts, terminal, sup, jumps, lambda: times)
 
 
 def _landing_frequencies(state, rng, land, n=60_000):
@@ -241,13 +245,14 @@ def test_tilt_states_its_window_once(monkeypatch, s, T):
         drawn.append((kind, start, span))
         return _stream_keys(rng, counts, start, span, kind)
 
-    def gaps_spy(rng, rows, begin, span, rb, rc):
-        # the sparse path draws a segment's births and catastrophes in one call
+    def sparse_spy(segment, rng, rows, weight):
+        # the sparse path draws its one segment's births and catastrophes itself
+        begin, span, _, _ = segment
         drawn.extend([(EventKind.BIRTH, begin, span), (EventKind.CATASTROPHE, begin, span)])
-        return _gap_counts(rng, rows, begin, span, rb, rc)
+        return _sparse_block(segment, rng, rows, weight)
 
     monkeypatch.setattr("catpop.model._stream_keys", keys_spy)
-    monkeypatch.setattr("catpop.model._gap_counts", gaps_spy)
+    monkeypatch.setattr("catpop.model._sparse_block", sparse_spy)
     _decomposed_block(P111, T, replica_rng(5, 0), 4, tilt)
     # the tilted births and catastrophes
     assert drawn[-2:] == [(EventKind.BIRTH, s * T, length), (EventKind.CATASTROPHE, s * T, length)]
@@ -735,8 +740,8 @@ _TIME_BUILDERS = ("_clock_times", "_key_times", "_sparse_events")
 
 
 def _builder_calls(monkeypatch, run):
-    # the calls run() makes to each builder of times, and to the sorted-kinds loop
-    calls = dict.fromkeys((*_TIME_BUILDERS, "_run_events"), 0)
+    # the calls run() makes to each builder of times, and to the catastrophe loop
+    calls = dict.fromkeys((*_TIME_BUILDERS, "_land_ranked"), 0)
 
     def spy(name):
         real = getattr(model, name)
@@ -759,8 +764,8 @@ def _builder_calls(monkeypatch, run):
 def test_terminal_states_are_sampled_without_building_a_time(monkeypatch, construction, T):
     calls = _builder_calls(monkeypatch, lambda: sample_terminal_states(P111, T, 2 * BLOCK, 3, construction))
     assert [calls[name] for name in _TIME_BUILDERS] == [0, 0, 0]
-    # the chain lands its catastrophes straight off its marks; each merged block steps through its sorted kinds
-    assert calls["_run_events"] == (0 if construction == "subordinated" else 2)
+    # each of the two blocks, of either construction, runs the catastrophe loop once
+    assert calls["_land_ranked"] == 2
 
 
 @pytest.mark.parametrize("x", [0.5, 2.0], ids=["merged", "sparse"])
